@@ -167,49 +167,20 @@ class SweepRunner {
     return results;
   }
 
-  // Like run(), but each *worker* owns a private metrics registry that jobs
-  // record into; the per-worker registries are merged into `merged` once at
-  // the join. The previous scheme (one registry per job, merged in job-index
-  // order) allocated registry series on every job's hot path; per-worker
-  // registries touch thread-private memory only. The merge algebra is
-  // commutative — counters, histogram buckets and sums are integer adds,
-  // gauges add values and max high-water marks — so the merged report is
-  // byte-identical no matter which worker claimed which job.
+  // Like run(), but each job records into a registry of its own, and the
+  // registries are merged into `merged` in job-index order after the join.
+  // One registry per job is what makes the merge the per-run sum that
+  // metrics.hpp documents: Gauge::set overwrites, so a registry shared by the
+  // jobs of one worker (or of a sequential run) would keep only the reading
+  // of whichever job ran last, and on a pool that depends on the claim race.
   std::vector<RunResult> run_merged(
       int n, const std::function<RunResult(int, sim::Metrics&)>& job,
       sim::Metrics* merged) const {
-    if (threads_ == 1 || n <= 1) {
-      std::vector<RunResult> results(static_cast<size_t>(n));
-      sim::Metrics local;
-      for (int i = 0; i < n; ++i)
-        results[static_cast<size_t>(i)] = job(i, local);
-      if (merged) merged->merge(local);
-      return results;
-    }
-    struct alignas(64) Slot {
-      RunResult r;
-    };
-    std::vector<Slot> slots(static_cast<size_t>(n));
-    int workers = std::min(threads_, n);
-    std::vector<sim::Metrics> worker_metrics(static_cast<size_t>(workers));
-    std::atomic<int> next{0};
-    auto worker = [&](int t) {
-      sim::Metrics& mine = worker_metrics[static_cast<size_t>(t)];
-      for (;;) {
-        int i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        slots[static_cast<size_t>(i)].r = job(i, mine);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(workers));
-    for (int t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-    for (auto& t : pool) t.join();
+    std::vector<sim::Metrics> per_job(static_cast<size_t>(n));
+    auto results = run(
+        n, [&](int i) { return job(i, per_job[static_cast<size_t>(i)]); });
     if (merged)
-      for (const auto& wm : worker_metrics) merged->merge(wm);
-    std::vector<RunResult> results(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i)
-      results[static_cast<size_t>(i)] = slots[static_cast<size_t>(i)].r;
+      for (const auto& m : per_job) merged->merge(m);
     return results;
   }
 

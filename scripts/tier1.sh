@@ -8,7 +8,8 @@
 # reports for identical configs; metrics_report flags a seed mutation), the
 # metrics-overhead gate (probes with no registry attached must stay within
 # 5% of a GAM_METRICS=OFF build on e3_mu_k16), and finally the buffer/trace/
-# metrics/monitor regression tests under AddressSanitizer.
+# metrics/monitor regression tests under AddressSanitizer, the net gates and
+# the benchmark's own tests (perfbench/run.py --test).
 #
 # Usage:
 #   scripts/tier1.sh                 # plain RelWithDebInfo gate
@@ -60,15 +61,30 @@ echo "tier1: trace self-check OK"
 # two-tier ballot stride) has to be byte-invisible below the old ceiling.
 # scripts/golden_trace_hashes.txt pins (events, hash) per config; regenerate
 # it ONLY for an intentional wire/trace change.
-while read -r cfg events hash; do
-  [[ "$cfg" =~ ^#.*$ || -z "$cfg" ]] && continue
-  header=$(head -n1 "$TRACE_DIR/a.$cfg.trace")
-  want="# gam-trace v1 events=$events hash=$hash"
-  [[ "$header" == "$want" ]] \
-    || { echo "tier1: FAIL — $cfg trace differs from the seed golden"; \
-         echo "  want: $want"; echo "  got:  $header"; exit 1; }
-done < scripts/golden_trace_hashes.txt
+# check_golden GOLDEN_FILE TRACE_PREFIX: every config the file names must
+# have recorded exactly its pinned trace header under TRACE_PREFIX.
+check_golden() {
+  while read -r cfg events hash; do
+    [[ "$cfg" =~ ^#.*$ || -z "$cfg" ]] && continue
+    header=$(head -n1 "$2.$cfg.trace")
+    want="# gam-trace v1 events=$events hash=$hash"
+    [[ "$header" == "$want" ]] \
+      || { echo "tier1: FAIL — $cfg trace differs from its golden ($1)"; \
+           echo "  want: $want"; echo "  got:  $header"; exit 1; }
+  done < "$1"
+}
+check_golden scripts/golden_trace_hashes.txt "$TRACE_DIR/a"
 echo "tier1: legacy trace byte-identity gate OK"
+
+# Windowed byte-identity gate: the goldens above run batch 1 / window 1, where
+# UniversalLog never claims a batch or re-drives an instance. whitebox and
+# generic at batch 16 / window 8 do, so their pinned traces hold the log's
+# pipelined paths to the same wire.
+"$BUILD_DIR"/bench/bench_sweep --quick --seeds=1 --batch=16 --window=8 \
+  --protocol=whitebox --protocol=generic \
+  --out="$TRACE_DIR"/win.json --trace="$TRACE_DIR"/win >/dev/null
+check_golden scripts/golden_trace_hashes_windowed.txt "$TRACE_DIR/win"
+echo "tier1: windowed trace byte-identity gate OK"
 
 # Wide-topology gate (widened id space): the 128-group / 256-process smoke
 # config must sweep deterministically (bench_sweep's internal gate) with the
@@ -521,5 +537,13 @@ echo "tier1: live introspection gate OK"
   || { echo "tier1: FAIL — trace_diff finds live vs replay divergence"; \
        exit 1; }
 echo "tier1: net record->replay gate OK"
+
+# Benchmark self-test: perfbench (BENCHMARK.json's harness) builds its own
+# package from src/ into .bench_build/ and runs its tests — the delivery
+# checker, the op-id mapping, the quantiles and a short live client run — so a
+# library change that breaks the benchmark fails here, not at measurement.
+python3 perfbench/run.py --test \
+  || { echo "tier1: FAIL — perfbench self-test"; exit 1; }
+echo "tier1: perfbench self-test OK"
 
 echo "tier1: OK ($BUILD_DIR)"

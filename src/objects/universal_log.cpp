@@ -1,7 +1,6 @@
 #include "objects/universal_log.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "objects/consensus_mp.hpp"
 
@@ -14,30 +13,28 @@ constexpr int kStallLimit = 8;
 void UniversalLog::submit(std::int64_t op,
                           std::function<void(std::int64_t)> applied) {
   pending_.push_back({op, std::move(applied)});
-  known_ops_.insert(op);
   GAM_METRICS_PROBE(if (span_sink_) span_sink_->on_span(
       {0, self_, sim::SpanKind::kSubmit, op, 0, 0}));
 }
 
-std::int64_t UniversalLog::first_unlearned() const { return applied_insts_; }
+bool UniversalLog::is_pending(std::int64_t op) const {
+  for (const Pending& p : pending_)
+    if (p.op == op) return true;
+  return false;
+}
 
 void UniversalLog::learn(std::int64_t inst, std::vector<std::int64_t> values) {
-  GAM_EXPECTS(inst >= 0);
-  if (static_cast<std::size_t>(inst) >= decided_.size())
-    decided_.resize(static_cast<std::size_t>(inst) + 1);
-  // First decision wins: a competing leader's duplicate decision for an
-  // already-decided instance must not overwrite the recorded batch.
-  auto& slot = decided_[static_cast<std::size_t>(inst)];
-  if (!slot) slot = std::move(values);
-  while (static_cast<std::size_t>(applied_insts_) < decided_.size() &&
-         decided_[static_cast<std::size_t>(applied_insts_)]) {
-    const auto& batch = *decided_[static_cast<std::size_t>(applied_insts_)];
+  InstanceState& decided = instance(inst);
+  GAM_EXPECTS(!decided.decided);  // callers drop decisions of decided instances
+  decided.decided = true;
+  decided.batch = std::move(values);
+  while (!instances_.empty() && instances_.front().decided) {
+    std::vector<std::int64_t> batch = std::move(instances_.front().batch);
+    instances_.pop_front();
     ++applied_insts_;
     for (std::int64_t op : batch) {
-      if (!ordered_ops_.insert(op).second) continue;  // decided twice: dedup
-      learned_.push_back(op);
-      known_ops_.insert(op);
-      std::int64_t pos = static_cast<std::int64_t>(learned_.size()) - 1;
+      if (!ordered_ops_.insert(op)) continue;  // decided twice: dedup
+      std::int64_t pos = learned_count_++;
       GAM_METRICS_PROBE(if (span_sink_) span_sink_->on_span(
           {0, self_, sim::SpanKind::kDelivered, op, pos, 0}));
       if (on_learn_) on_learn_(op, pos);
@@ -53,50 +50,43 @@ void UniversalLog::learn(std::int64_t inst, std::vector<std::int64_t> values) {
   }
 }
 
-std::vector<std::int64_t> UniversalLog::unclaimed_pending(
-    std::int64_t exclude_inst) const {
-  // Collect every op claimed by another in-flight instance once, then test
-  // membership per pending op — the nested linear scan this replaces was
-  // O(pending x window x batch) per newly opened instance, which dominated
-  // the pipelined loadgen profile. Same ops in the same order come out.
-  std::unordered_set<std::int64_t> claimed;
-  for (std::size_t i = static_cast<std::size_t>(first_unlearned());
-       i < proposers_.size(); ++i) {
-    const ProposerState& ps = proposers_[i];
-    if (!ps.engaged || static_cast<std::int64_t>(i) == exclude_inst) continue;
-    claimed.insert(ps.claimed.begin(), ps.claimed.end());
-  }
+void UniversalLog::release(std::int64_t inst) {
+  for (Pending& p : pending_)
+    if (p.claim == inst) p.claim = -1;
+}
+
+bool UniversalLog::drive(sim::Context& ctx, std::int64_t inst) {
+  // Claim the oldest pending ops that no live instance holds: a claim by an
+  // applied instance is stale (its batch was decided without the op), and
+  // `inst`'s own claims were released before a re-drive. Re-submits of an op
+  // already decided in a *learned* instance cannot happen: we only drive ops
+  // still pending, and learn() removes them the moment they appear. Ops
+  // decided concurrently by a competing leader are deduplicated at learn().
   std::vector<std::int64_t> ops;
-  for (const Pending& p : pending_) {
-    if (claimed.count(p.op)) continue;
+  ops.reserve(std::min(pending_.size(), static_cast<std::size_t>(batch_)));
+  for (Pending& p : pending_) {
+    if (p.claim >= first_unlearned()) continue;
+    p.claim = inst;
     ops.push_back(p.op);
     if (ops.size() == static_cast<std::size_t>(batch_)) break;
   }
-  return ops;
-}
-
-void UniversalLog::drive(sim::Context& ctx, std::int64_t inst,
-                         std::vector<std::int64_t> ops) {
-  // Drive instance `inst` with an ordered batch of pending ops. Re-submits of
-  // an op already decided in a *learned* instance cannot happen: we only
-  // drive ops still pending, and learn() removes them the moment they appear.
-  // Ops decided concurrently by a competing leader are deduplicated at
-  // learn().
-  ProposerState& ps = engage_proposer(inst);
+  if (ops.empty()) return false;
+  ProposerState& ps = instance(inst).proposer;
+  ps.engaged = true;
   ++ps.round;
   ps.ballot = IdPacker::for_set(scope_).pack(ps.round, self_);
   ps.accept_phase = false;
   ps.promisers = {};
   ps.accepters = {};
   ps.best_accepted_ballot = -1;
-  ps.values = ops;
-  ps.claimed = std::move(ops);
+  ps.values = std::move(ops);
   ps.stall = 0;
   GAM_METRICS_PROBE(if (span_sink_) for (std::int64_t op : ps.values)
                         span_sink_->on_span({0, self_,
                                              sim::SpanKind::kPaxosRound, op,
                                              inst, ps.ballot}));
   ctx.send_to_set(scope_, protocol_id_, kPrepare, {inst, ps.ballot});
+  return true;
 }
 
 bool UniversalLog::on_idle(sim::Context& ctx) {
@@ -119,16 +109,13 @@ bool UniversalLog::on_idle(sim::Context& ctx) {
   // window_ = 1 is the legacy one-instance-at-a-time loop).
   bool acted = false;
   std::int64_t base = first_unlearned();
-  for (std::int64_t off = 0; off < window_; ++off) {
-    std::int64_t inst = base + off;
+  for (std::int64_t inst = base; inst < base + window_; ++inst) {
     if (has_decided(inst)) continue;
     ProposerState* ps = proposer_at(inst);
-    if (!ps || ++ps->stall > kStallLimit) {
-      auto ops = unclaimed_pending(inst);
-      if (ops.empty()) break;  // every pending op is already in flight
-      drive(ctx, inst, std::move(ops));
-      acted = true;
-    }
+    if (ps && ++ps->stall <= kStallLimit) continue;
+    if (ps) release(inst);
+    if (!drive(ctx, inst)) break;  // every pending op is already in flight
+    acted = true;
   }
   return acted;
 }
@@ -191,7 +178,7 @@ void UniversalLog::on_message(sim::Context& ctx, const sim::Message& m) {
       if (q && q->subset_of(ps.accepters)) {
         ctx.send_to_set(scope_, protocol_id_, kDecide,
                         OrderedBatch::encode({inst}, ps.values));
-        learn(inst, ps.values);
+        learn(inst, std::move(ps.values));
       }
       break;
     }
@@ -200,8 +187,10 @@ void UniversalLog::on_message(sim::Context& ctx, const sim::Message& m) {
       break;
     }
     case kForward: {
+      // Every op this replica knows is either ordered or still pending.
       std::int64_t op = m.data[0];
-      if (known_ops_.insert(op).second) pending_.push_back({op, nullptr});
+      if (!ordered_ops_.contains(op) && !is_pending(op))
+        pending_.push_back({op, nullptr});
       break;
     }
     default:

@@ -10,12 +10,11 @@
 
 #include <deque>
 #include <functional>
-#include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "fd/detectors.hpp"
 #include "objects/protocol_host.hpp"
+#include "objects/run_set.hpp"
 #include "sim/metrics.hpp"
 #include "sim/spans.hpp"
 #include "sim/world.hpp"
@@ -46,12 +45,10 @@ class UniversalLog : public SubProtocol {
   // `applied` fires when the operation's position is learned locally.
   void submit(std::int64_t op, std::function<void(std::int64_t pos)> applied);
 
-  // The locally learned decided prefix.
-  const std::vector<std::int64_t>& learned() const { return learned_; }
-
   // Observer invoked at *this replica* for every op as it enters the learned
   // prefix (op, position). Replication clients (state machines, the
-  // replicated multicast) apply commands from here.
+  // replicated multicast) apply commands from here; the log itself keeps no
+  // copy of the prefix.
   void set_on_learn(std::function<void(std::int64_t, std::int64_t)> cb) {
     on_learn_ = std::move(cb);
   }
@@ -92,24 +89,27 @@ class UniversalLog : public SubProtocol {
     std::int64_t ballot = -1;
     bool accept_phase = false;
     std::vector<std::int64_t> values;  // ordered batch driven in this instance
-    std::vector<std::int64_t> claimed;  // pending ops this instance claims —
-                                        // kept even if `values` is overwritten
-                                        // by a promised earlier batch, so the
-                                        // window never double-proposes an op
     std::int64_t best_accepted_ballot = -1;
     ProcessSet promisers;
     ProcessSet accepters;
     int stall = 0;
     std::int64_t round = 0;
   };
+  // Learner and proposer state of one instance not yet applied.
+  struct InstanceState {
+    bool decided = false;
+    std::vector<std::int64_t> batch;  // the decided batch, once decided
+    ProposerState proposer;
+  };
 
   void learn(std::int64_t inst, std::vector<std::int64_t> values);
-  void drive(sim::Context& ctx, std::int64_t inst,
-             std::vector<std::int64_t> ops);
-  // Oldest pending ops not claimed by another in-flight instance, up to
-  // batch_ of them.
-  std::vector<std::int64_t> unclaimed_pending(std::int64_t exclude_inst) const;
-  std::int64_t first_unlearned() const;
+  // Drives `inst` with the oldest pending ops no other live instance claims,
+  // up to batch_ of them; false (and nothing changes) when there are none.
+  bool drive(sim::Context& ctx, std::int64_t inst);
+  // Hands `inst`'s claimed ops back to the pool before it is re-driven.
+  void release(std::int64_t inst);
+  bool is_pending(std::int64_t op) const;
+  std::int64_t first_unlearned() const { return applied_insts_; }
 
   sim::ProtocolId protocol_id_;
   ProcessId self_;
@@ -120,15 +120,11 @@ class UniversalLog : public SubProtocol {
   int batch_ = 1;
   int window_ = 1;
 
-  // Instances are contiguous from 0 (the leader window drives
-  // [first_unlearned, first_unlearned + window)), so per-instance state lives
-  // in dense vectors indexed by instance — the std::map lookups this replaces
-  // were pure overhead on the pipelined path. Slots below applied_insts_ stay
-  // allocated for the run's lifetime; runs are bounded, and a decided batch
-  // is a handful of words.
-  std::vector<AcceptorState> acceptors_;   // indexed by instance
-  std::vector<ProposerState> proposers_;   // indexed by instance (engaged flag)
-  std::vector<std::optional<std::vector<std::int64_t>>> decided_;  // -> batch
+  // Acceptor state stays per instance for the whole run: an acceptor that
+  // forgot an accepted batch would answer a stale leader's prepare with an
+  // empty promise, and that leader could then decide a different batch.
+  // Instances are contiguous from 0, so a dense vector indexed by instance.
+  std::vector<AcceptorState> acceptors_;
 
   AcceptorState& acceptor(std::int64_t inst) {
     GAM_EXPECTS(inst >= 0);
@@ -136,45 +132,55 @@ class UniversalLog : public SubProtocol {
     if (i >= acceptors_.size()) acceptors_.resize(i + 1);
     return acceptors_[i];
   }
-  // nullptr when this replica never drove `inst`.
+
+  // Learner and proposer state only for instances at or above the applied
+  // prefix: instances_[i] is instance applied_insts_ + i, and applying an
+  // instance pops it. Below the prefix every instance is decided and no
+  // message can change anything, so there is nothing to keep.
+  std::int64_t applied_insts_ = 0;  // contiguous applied instance count
+  std::deque<InstanceState> instances_;
+
+  // nullptr for applied instances and for ones no message has touched yet.
+  InstanceState* find(std::int64_t inst) {
+    if (inst < applied_insts_) return nullptr;
+    auto i = static_cast<std::size_t>(inst - applied_insts_);
+    return i < instances_.size() ? &instances_[i] : nullptr;
+  }
+  InstanceState& instance(std::int64_t inst) {
+    GAM_EXPECTS(inst >= applied_insts_);
+    auto i = static_cast<std::size_t>(inst - applied_insts_);
+    if (i >= instances_.size()) instances_.resize(i + 1);
+    return instances_[i];
+  }
+  // nullptr when this replica is not driving `inst` (or it is applied).
   ProposerState* proposer_at(std::int64_t inst) {
-    auto i = static_cast<std::size_t>(inst);
-    if (inst < 0 || i >= proposers_.size() || !proposers_[i].engaged)
-      return nullptr;
-    return &proposers_[i];
+    InstanceState* s = find(inst);
+    return s && s->proposer.engaged ? &s->proposer : nullptr;
   }
-  ProposerState& engage_proposer(std::int64_t inst) {
-    GAM_EXPECTS(inst >= 0);
-    auto i = static_cast<std::size_t>(inst);
-    if (i >= proposers_.size()) proposers_.resize(i + 1);
-    proposers_[i].engaged = true;
-    return proposers_[i];
-  }
-  bool has_decided(std::int64_t inst) const {
-    auto i = static_cast<std::size_t>(inst);
-    return inst >= 0 && i < decided_.size() && decided_[i].has_value();
+  bool has_decided(std::int64_t inst) {
+    if (inst < applied_insts_) return inst >= 0;
+    InstanceState* s = find(inst);
+    return s && s->decided;
   }
 
-  std::vector<std::int64_t> learned_;  // contiguous applied op prefix
-  std::int64_t applied_insts_ = 0;     // contiguous applied instance count
-  // Ops already placed into learned_: competing leaders may decide the same
-  // op in two window instances; first-occurrence dedup over the (identical
-  // at every replica) decided sequence keeps learned logs equal.
-  std::unordered_set<std::int64_t> ordered_ops_;
+  std::int64_t learned_count_ = 0;  // length of the learned prefix
+  // Ops already placed into the learned prefix: competing leaders may decide
+  // the same op in two window instances; first-occurrence dedup over the
+  // (identical at every replica) decided sequence keeps learned logs equal.
+  RunSet ordered_ops_;
 
   struct Pending {
     std::int64_t op;
     std::function<void(std::int64_t)> applied;
+    // The window instance whose batch holds this op; it counts only while
+    // that instance is live (>= first_unlearned()). -1 = unclaimed.
+    std::int64_t claim = -1;
   };
   // Own + forwarded ops not yet in the log. A deque because the common
   // completion order is FIFO (batches are taken from the front, instances
   // learn in order), so the erase in learn() is usually a pop_front — on a
   // vector that front-erase memmoved the whole tail per delivered op.
   std::deque<Pending> pending_;
-  // O(1) "have I seen this op?" for forward dedup: every op currently in
-  // pending_ plus every op ever pushed into learned_. A linear scan here was
-  // quadratic in log length under heavy forwarding.
-  std::unordered_set<std::int64_t> known_ops_;
   std::function<void(std::int64_t, std::int64_t)> on_learn_;
   sim::SpanSink* span_sink_ = nullptr;
   int forward_stall_ = 0;

@@ -3,16 +3,24 @@
 // and the contention-free fast consensus behind Proposition 47.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "fd/detectors.hpp"
 #include "objects/abd_register.hpp"
 #include "objects/cf_consensus.hpp"
 #include "objects/protocol_host.hpp"
 #include "objects/quorum_store.hpp"
+#include "objects/run_set.hpp"
 #include "objects/universal_log.hpp"
 #include "sim/run_spec.hpp"
+#include "sim/spans.hpp"
 #include "sim/world.hpp"
+#include "util/rng.hpp"
 
 namespace gam::objects {
 namespace {
@@ -287,6 +295,19 @@ TEST(IndulgentConsensus, NonLeaderProposalReachesDecisionViaForwarding) {
 
 // ---- UniversalLog ------------------------------------------------------------------
 
+// A replica's learned prefix, recorded through set_on_learn (the log keeps no
+// copy of it). Positions must arrive dense and in order.
+struct LearnedLog {
+  std::vector<std::int64_t> ops;
+
+  void attach(UniversalLog& log) {
+    log.set_on_learn([this](std::int64_t op, std::int64_t pos) {
+      EXPECT_EQ(pos, static_cast<std::int64_t>(ops.size()));
+      ops.push_back(op);
+    });
+  }
+};
+
 TEST(UniversalLog, AllMembersLearnTheSameSequence) {
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     FailurePattern pat(3);
@@ -295,10 +316,12 @@ TEST(UniversalLog, AllMembersLearnTheSameSequence) {
     fd::SigmaOracle sigma(fx.pattern, scope);
     fd::OmegaOracle omega(fx.pattern, scope);
     std::vector<std::shared_ptr<UniversalLog>> logs;
+    std::vector<LearnedLog> learned(3);
     for (ProcessId p = 0; p < 3; ++p) {
       auto l = std::make_shared<UniversalLog>(sim::protocol_id(3), p, scope,
                                               sigma, omega);
       fx.hosts[static_cast<size_t>(p)]->add(sim::protocol_id(3), l);
+      learned[static_cast<size_t>(p)].attach(*l);
       logs.push_back(l);
     }
     // Each member submits two ops; op values encode (proposer, seq).
@@ -309,11 +332,11 @@ TEST(UniversalLog, AllMembersLearnTheSameSequence) {
             p * 10 + k, [&](std::int64_t) { ++applied; });
     ASSERT_TRUE(fx.world.run_until_quiescent(400'000)) << "seed " << seed;
     EXPECT_EQ(applied, 6);
-    ASSERT_EQ(logs[0]->learned().size(), 6u) << "seed " << seed;
-    EXPECT_EQ(logs[0]->learned(), logs[1]->learned());
-    EXPECT_EQ(logs[1]->learned(), logs[2]->learned());
+    ASSERT_EQ(learned[0].ops.size(), 6u) << "seed " << seed;
+    EXPECT_EQ(learned[0].ops, learned[1].ops);
+    EXPECT_EQ(learned[1].ops, learned[2].ops);
     // Exactly-once: all six distinct ops appear.
-    auto sorted = logs[0]->learned();
+    auto sorted = learned[0].ops;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(sorted, (std::vector<std::int64_t>{0, 1, 10, 11, 20, 21}));
   }
@@ -327,10 +350,12 @@ TEST(UniversalLog, ProgressAfterLeaderCrash) {
   fd::SigmaOracle sigma(fx.pattern, scope);
   fd::OmegaOracle omega(fx.pattern, scope);
   std::vector<std::shared_ptr<UniversalLog>> logs;
+  std::vector<LearnedLog> learned(3);
   for (ProcessId p = 0; p < 3; ++p) {
     auto l = std::make_shared<UniversalLog>(sim::protocol_id(3), p, scope,
                                             sigma, omega);
     fx.hosts[static_cast<size_t>(p)]->add(sim::protocol_id(3), l);
+    learned[static_cast<size_t>(p)].attach(*l);
     logs.push_back(l);
   }
   int applied = 0;
@@ -338,8 +363,8 @@ TEST(UniversalLog, ProgressAfterLeaderCrash) {
   logs[2]->submit(200, [&](std::int64_t) { ++applied; });
   ASSERT_TRUE(fx.world.run_until_quiescent(400'000));
   EXPECT_EQ(applied, 2);
-  EXPECT_EQ(logs[1]->learned(), logs[2]->learned());
-  EXPECT_EQ(logs[1]->learned().size(), 2u);
+  EXPECT_EQ(learned[1].ops, learned[2].ops);
+  EXPECT_EQ(learned[1].ops.size(), 2u);
 }
 
 TEST(UniversalLog, OutOfOrderDecisionsLearnInInstanceOrder) {
@@ -354,6 +379,8 @@ TEST(UniversalLog, OutOfOrderDecisionsLearnInInstanceOrder) {
   fd::SigmaOracle sigma(pat, scope);
   fd::OmegaOracle omega(pat, scope);
   UniversalLog log(sim::protocol_id(3), 0, scope, sigma, omega);
+  LearnedLog learned;
+  learned.attach(log);
 
   auto decide = [](std::int64_t inst, std::int64_t value) {
     sim::Message m;
@@ -376,7 +403,7 @@ TEST(UniversalLog, OutOfOrderDecisionsLearnInInstanceOrder) {
 
   // Instance 2 decides first: nothing learnable yet.
   log.on_message(ctx, decide(2, 102));
-  EXPECT_TRUE(log.learned().empty());
+  EXPECT_TRUE(learned.ops.empty());
 
   // A forwarded op enqueues once; the duplicate is dropped.
   EXPECT_FALSE(log.wants_step());
@@ -387,21 +414,209 @@ TEST(UniversalLog, OutOfOrderDecisionsLearnInInstanceOrder) {
   // Instance 0 lands: prefix [100]. Instance 1 lands: the buffered decision
   // for instance 2 completes the prefix in one learn cascade.
   log.on_message(ctx, decide(0, 100));
-  EXPECT_EQ(log.learned(), (std::vector<std::int64_t>{100}));
+  EXPECT_EQ(learned.ops, (std::vector<std::int64_t>{100}));
   log.on_message(ctx, decide(1, 101));
-  EXPECT_EQ(log.learned(), (std::vector<std::int64_t>{100, 101, 102}));
+  EXPECT_EQ(learned.ops, (std::vector<std::int64_t>{100, 101, 102}));
 
   // Duplicate decision for a learned instance is inert.
   log.on_message(ctx, decide(1, 101));
-  EXPECT_EQ(log.learned().size(), 3u);
+  EXPECT_EQ(learned.ops.size(), 3u);
 
   // Forwarding an op that is already in the learned prefix must not enqueue
   // it again (it would be proposed — and decided — twice).
   log.on_message(ctx, forward(101));
   // Drain the only genuinely pending op to expose the state: 42 remains.
   log.on_message(ctx, decide(3, 42));
-  EXPECT_EQ(log.learned(), (std::vector<std::int64_t>{100, 101, 102, 42}));
+  EXPECT_EQ(learned.ops, (std::vector<std::int64_t>{100, 101, 102, 42}));
   EXPECT_FALSE(log.wants_step());  // nothing pending: 101 was deduped
+}
+
+TEST(UniversalLog, WindowedDuplicateDecisionLearnsOnce) {
+  // With a window of instances in flight, competing leaders may decide the
+  // same op in two instances. It must enter the learned prefix once, resolve
+  // its pending entry once, and a forward of it arriving after the learn
+  // must not make it pending again.
+  FailurePattern pat(3);
+  sim::Scenario sc(sim::RunSpec{}.failures(pat).seed(7));
+  sim::WorldContext ctx(sc.world(), 0, 0);
+  ProcessSet scope = ProcessSet::universe(3);
+  fd::SigmaOracle sigma(pat, scope);
+  fd::OmegaOracle omega(pat, scope);
+  UniversalLog log(sim::protocol_id(3), 0, scope, sigma, omega, /*batch=*/2,
+                   /*window=*/2);
+  LearnedLog learned;
+  learned.attach(log);
+  sim::SpanCollector spans;
+  log.set_span_sink(&spans);
+
+  auto decide = [](std::int64_t inst, std::vector<std::int64_t> ops) {
+    sim::Message m;
+    m.src = 1;
+    m.dst = 0;
+    m.protocol = 3;
+    m.type = 5;  // kDecide: [inst, ops...]
+    m.data = {inst};
+    for (std::int64_t op : ops) m.data.push_back(op);
+    return m;
+  };
+  auto forward = [](std::int64_t op) {
+    sim::Message m;
+    m.src = 2;
+    m.dst = 0;
+    m.protocol = 3;
+    m.type = 6;  // kForward: [op]
+    m.data = {op};
+    return m;
+  };
+  // (instance, op) of every round driven since the last call.
+  auto rounds = [&spans] {
+    std::vector<std::pair<std::int64_t, std::int64_t>> out;
+    for (const sim::SpanEvent& e : spans.events())
+      if (e.kind == sim::SpanKind::kPaxosRound) out.emplace_back(e.a, e.m);
+    spans.clear();
+    return out;
+  };
+  using Rounds = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+  std::map<std::int64_t, std::vector<std::int64_t>> resolved;  // op -> pos
+  for (std::int64_t op : {1, 2, 3, 4, 5})
+    log.submit(op, [&resolved, op](std::int64_t pos) {
+      resolved[op].push_back(pos);
+    });
+
+  // Process 0 leads. It fills its window with disjoint batches; op 5 waits.
+  rounds();
+  EXPECT_TRUE(log.on_idle(ctx));
+  if (sim::kMetricsCompiled) {
+    EXPECT_EQ(rounds(), (Rounds{{0, 1}, {0, 2}, {1, 3}, {1, 4}}));
+  }
+  // Until the stall limit nothing is re-driven; then each instance re-claims
+  // its own batch, never one another instance holds.
+  for (int i = 0; i < 8; ++i) EXPECT_FALSE(log.on_idle(ctx));
+  EXPECT_TRUE(log.on_idle(ctx));
+  if (sim::kMetricsCompiled) {
+    EXPECT_EQ(rounds(), (Rounds{{0, 1}, {0, 2}, {1, 3}, {1, 4}}));
+  }
+
+  // A competing leader decided instance 1 with 3 in it, and instance 0 with 3
+  // as well. Instance 1 waits behind the hole at 0, then both apply.
+  log.on_message(ctx, decide(1, {3, 2, 4}));
+  EXPECT_TRUE(learned.ops.empty());
+  log.on_message(ctx, decide(0, {1, 3}));
+  EXPECT_EQ(learned.ops, (std::vector<std::int64_t>{1, 3, 2, 4}));
+  EXPECT_EQ(resolved, (std::map<std::int64_t, std::vector<std::int64_t>>{
+                          {1, {0}}, {2, {2}}, {3, {1}}, {4, {3}}}));
+
+  // Op 5 is the only one left; the window's next instance drives it.
+  EXPECT_TRUE(log.wants_step());
+  EXPECT_TRUE(log.on_idle(ctx));
+  if (sim::kMetricsCompiled) {
+    EXPECT_EQ(rounds(), (Rounds{{2, 5}}));
+  }
+  log.on_message(ctx, decide(2, {5}));
+  EXPECT_EQ(learned.ops, (std::vector<std::int64_t>{1, 3, 2, 4, 5}));
+  EXPECT_EQ(resolved[5], (std::vector<std::int64_t>{4}));
+  EXPECT_FALSE(log.wants_step());
+
+  // Late forwards of learned ops are dropped; an unseen op still enqueues.
+  log.on_message(ctx, forward(3));
+  log.on_message(ctx, forward(5));
+  EXPECT_FALSE(log.wants_step());
+  log.on_message(ctx, forward(6));
+  EXPECT_TRUE(log.wants_step());
+}
+
+// ---- RunSet ---------------------------------------------------------------------
+
+// Number of maximal runs of consecutive ids in `ref`.
+std::size_t count_runs(const std::set<std::int64_t>& ref) {
+  std::size_t runs = 0;
+  bool first = true;
+  std::int64_t prev = 0;
+  for (std::int64_t x : ref) {
+    if (first || x - 1 != prev) ++runs;  // x > prev, so x - 1 cannot underflow
+    first = false;
+    prev = x;
+  }
+  return runs;
+}
+
+// Inserts `xs` into a RunSet and a std::set and checks they agree on every
+// insert result, on membership of each id and its neighbours, and on the
+// number of runs.
+void expect_matches_std_set(const std::vector<std::int64_t>& xs) {
+  RunSet set;
+  std::set<std::int64_t> ref;
+  for (std::int64_t x : xs) {
+    ASSERT_EQ(set.insert(x), ref.insert(x).second) << "insert " << x;
+  }
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  for (std::int64_t x : xs) {
+    EXPECT_TRUE(set.contains(x)) << x;
+    if (x != kMin) {
+      EXPECT_EQ(set.contains(x - 1), ref.count(x - 1) > 0) << x;
+    }
+    if (x != kMax) {
+      EXPECT_EQ(set.contains(x + 1), ref.count(x + 1) > 0) << x;
+    }
+  }
+  EXPECT_EQ(set.runs(), count_runs(ref));
+}
+
+TEST(RunSet, ConsecutiveIdsCostOneRun) {
+  std::vector<std::int64_t> up, down, evens_then_odds;
+  for (std::int64_t i = 0; i < 1000; ++i) up.push_back(1000 + i);
+  for (std::int64_t i = 0; i < 1000; ++i) down.push_back(-1 - i);  // BUMP ops
+  for (std::int64_t i = 0; i < 1000; i += 2) evens_then_odds.push_back(i);
+  for (std::int64_t i = 1; i < 1000; i += 2) evens_then_odds.push_back(i);
+  for (const auto* xs : {&up, &down, &evens_then_odds}) {
+    RunSet set;
+    for (std::int64_t x : *xs) EXPECT_TRUE(set.insert(x));
+    for (std::int64_t x : *xs) EXPECT_FALSE(set.insert(x));
+    EXPECT_EQ(set.runs(), 1u);
+    expect_matches_std_set(*xs);
+  }
+}
+
+TEST(RunSet, Int64Extremes) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  RunSet set;
+  EXPECT_TRUE(set.insert(kMax));
+  EXPECT_TRUE(set.insert(kMin));
+  EXPECT_FALSE(set.insert(kMax));
+  EXPECT_FALSE(set.insert(kMin));
+  EXPECT_TRUE(set.contains(kMax));
+  EXPECT_TRUE(set.contains(kMin));
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_FALSE(set.contains(kMax - 1));
+  EXPECT_FALSE(set.contains(kMin + 1));
+  EXPECT_EQ(set.runs(), 2u);
+  EXPECT_TRUE(set.insert(kMax - 1));  // grows the top run down
+  EXPECT_TRUE(set.insert(kMin + 1));  // grows the bottom run up
+  EXPECT_EQ(set.runs(), 2u);
+  expect_matches_std_set({kMax, kMin, kMax - 1, kMin + 1, kMax - 2, kMin + 2,
+                          kMax - 4, kMin + 4, kMax - 3, kMin + 3, 0, -1, 1});
+}
+
+TEST(RunSet, MatchesStdSetOnSeededRandomInserts) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<std::int64_t> xs;
+    // Dense draws around a few centres — negatives, zero and both int64
+    // ends included — so runs form, grow at either end and merge.
+    const std::int64_t centres[] = {kMin, -1000, 0, 1000, kMax};
+    for (int i = 0; i < 3000; ++i) {
+      std::int64_t c = centres[rng.below(5)];
+      std::int64_t d = static_cast<std::int64_t>(rng.below(200));
+      xs.push_back(c == kMin ? c + d : c == kMax ? c - d : c + d - 100);
+    }
+    SCOPED_TRACE(seed);
+    expect_matches_std_set(xs);
+  }
 }
 
 // ---- CfFastConsensus (Proposition 47) ------------------------------------------

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "amcast/mu_multicast.hpp"
@@ -211,25 +212,40 @@ void expect_same_traces(const std::vector<bench::RunResult>& a,
   }
 }
 
-// run_merged hands each worker a private registry and folds them at join.
-// The fold is commutative (counters/histograms add, gauges add values and
-// max high-water marks), so the merged report must be byte-identical no
-// matter how the pool interleaved the jobs — and identical to a sequential
-// run. write_json is deterministic, so comparing serialized bytes is exact.
+// run_merged gives every job its own registry and folds them in job order,
+// so the merged report is the per-run sum for any pool size — byte-identical
+// to a sequential run. A start barrier holds the first `threads` jobs until
+// all of them have started, which puts them on distinct workers: a registry
+// shared per worker then could not pass by accident. write_json is
+// deterministic, so comparing serialized bytes is exact.
 TEST(SweepRunner, RunMergedReportIsPoolSizeInvariant) {
   if (!sim::kMetricsCompiled) GTEST_SKIP() << "metrics compiled out";
   constexpr int kJobs = 24;
-  auto job = [](int i, sim::Metrics& m) {
-    m.counter("jobs").add(1);
-    m.histogram("val").record(static_cast<std::uint64_t>(i) * 3);
-    m.gauge("depth", i % 2 ? "odd" : "even").set(i);
-    bench::RunResult r;
-    r.steps = 1;
-    return r;
-  };
   auto report = [&](int threads) {
+    std::atomic<int> started{0};
+    auto job = [&](int i, sim::Metrics& m) {
+      if (i < threads) {
+        started.fetch_add(1);
+        while (started.load() < threads) std::this_thread::yield();
+      }
+      m.counter("jobs").add(1);
+      m.histogram("val").record(static_cast<std::uint64_t>(i) * 3);
+      m.gauge("depth", i % 2 ? "odd" : "even").set(i);
+      bench::RunResult r;
+      r.steps = 1;
+      return r;
+    };
     sim::Metrics merged;
     bench::SweepRunner(threads).run_merged(kJobs, job, &merged);
+    // Gauge values add across runs (0 + 2 + ... + 22, 1 + 3 + ... + 23);
+    // high-water marks take the maximum.
+    const auto& even = merged.gauges().at({"depth", "even"});
+    const auto& odd = merged.gauges().at({"depth", "odd"});
+    EXPECT_EQ(even.value, 132) << threads << " threads";
+    EXPECT_EQ(odd.value, 144) << threads << " threads";
+    EXPECT_EQ(even.hwm, 22);
+    EXPECT_EQ(odd.hwm, 23);
+    EXPECT_EQ(merged.counter_total("jobs"), static_cast<std::uint64_t>(kJobs));
     char* buf = nullptr;
     size_t len = 0;
     std::FILE* f = open_memstream(&buf, &len);

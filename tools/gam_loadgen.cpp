@@ -197,7 +197,11 @@ class LoadDriver final : public gam::objects::SubProtocol {
       ++count_;
     }
     submitted_->fetch_add(burst, std::memory_order_relaxed);
-    return true;
+    // Report no work: ProtocolHost ends an idle slot at the first
+    // sub-protocol that reports work, and the group's log comes after this
+    // driver in protocol-id order, so `true` here would take the slot the
+    // leader's log needs to open Paxos instances for the ops just submitted.
+    return false;
   }
 
   // Called from the leader replica's on_learn — same thread as on_idle.
