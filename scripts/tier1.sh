@@ -76,6 +76,12 @@ check_golden() {
 check_golden scripts/golden_trace_hashes.txt "$TRACE_DIR/a"
 echo "tier1: legacy trace byte-identity gate OK"
 
+# Wide byte-identity gate: e3_mu_wide128 is the only gated config above 64
+# groups, so it is the one the sparse (g,h) layout of logs, Σ oracles and
+# per-process state could move. scripts/golden_trace_hashes_wide.txt pins it.
+check_golden scripts/golden_trace_hashes_wide.txt "$TRACE_DIR/a"
+echo "tier1: wide trace byte-identity gate OK"
+
 # Windowed byte-identity gate: the goldens above run batch 1 / window 1, where
 # UniversalLog never claims a batch or re-drives an instance. whitebox and
 # generic at batch 16 / window 8 do, so their pinned traces hold the log's
@@ -117,7 +123,7 @@ echo "tier1: wide-topology gate OK"
 "$BUILD_DIR"/bench/bench_sweep --quick --seeds=1 --engine=scan \
   --out="$TRACE_DIR"/scan.json --trace="$TRACE_DIR"/scan >/dev/null
 for cfg in e3_mu_k16 e3_mu_k64 e3_mu_hirate_base e3_mu_hirate_batched \
-           figure1_crashes; do
+           figure1_crashes e3_mu_wide128; do
   "$BUILD_DIR"/tools/trace_diff \
     "$TRACE_DIR/a.$cfg.trace" "$TRACE_DIR/scan.$cfg.trace" \
     || { echo "tier1: FAIL — scan vs incremental engines diverge ($cfg)"; \

@@ -9,25 +9,33 @@ namespace gam::amcast {
 using groups::GroupId;
 using objects::LogEntry;
 
-// Per-process protocol state: the PHASE map of line 4 (dense, indexed by the
-// message's submission index) plus bookkeeping that keeps one-shot actions
-// one-shot, plus the failure-detector memos of the incremental engine.
+// Per-process protocol state: the messages addressed to the process and
+// their PHASE map of line 4, plus the failure-detector memos of the
+// incremental engine. Per-group state has one slot per group of G(p), in the
+// order of groups_of(p).
 struct MuMulticast::PerProcess {
-  std::vector<Phase> phase;  // workload_-indexed; grown by submit()
+  // The dense indices of the messages whose destination contains this
+  // process, ascending by id and in submission order. A process only ever
+  // acts on these: dissemination is closed and helping is limited to
+  // destination members.
+  std::vector<std::int32_t> by_id;
+  std::vector<std::int32_t> by_submission;
+  // workload_-indexed, long enough to cover every message addressed here;
+  // any other message stays at kStart (see phase_at).
+  std::vector<Phase> phase;
   std::int64_t delivered_seq = 0;
-  // Cached F(p) material (the group system is immutable).
-  std::vector<groups::FamilyMask> families;
-  std::vector<groups::FamilyMask> cons_family;  // per group: H(p,g) as a mask
+  std::vector<groups::FamilyMask> cons_family;  // per G(p) slot: H(p,g)
 
   // Wait-set memo: μ outputs are constant between transition times, so a
   // (process, group) wait set computed at version v is exact until the clock
-  // crosses the next transition (fd_version() changes).
+  // crosses the next transition (fd_version() changes). Filled by const
+  // guard evaluation.
   struct WaitCache {
     std::uint64_t version = ~std::uint64_t{0};
     std::vector<GroupId> groups;
   };
-  std::vector<WaitCache> gamma_memo;   // per group: γ(g) at this process
-  std::vector<WaitCache> strict_memo;  // per group: §6.1 indicator wait set
+  mutable std::vector<WaitCache> gamma_memo;   // per G(p) slot: γ(g) here
+  mutable std::vector<WaitCache> strict_memo;  // per G(p) slot: §6.1 wait set
 };
 
 MuMulticast::MuMulticast(const groups::GroupSystem& system,
@@ -39,45 +47,39 @@ MuMulticast::MuMulticast(const groups::GroupSystem& system,
       rng_(options.seed) {
   GAM_EXPECTS(system.process_count() == pattern.process_count());
   GAM_EXPECTS(options_.batch_k >= 1 && options_.window_size >= 1);
+  const groups::GroupPairIndex& pairs = system_.pair_index();
   if (options_.strict) {
     // One indicator 1^{g∩h} per pair of intersecting groups (g = h gives
-    // 1^g). Scope g∪h as in §6.1.
-    for (GroupId g = 0; g < system_.group_count(); ++g)
-      for (GroupId h = g; h < system_.group_count(); ++h) {
-        ProcessSet inter = system_.intersection(g, h);
-        if (inter.empty()) continue;
-        indicators_.emplace_back(pattern_, inter,
-                                 system_.group(g) | system_.group(h),
-                                 options_.fd_lag);
-      }
+    // 1^g), indexed like the logs. Scope g∪h as in §6.1.
+    for (int slot = 0; slot < pairs.size(); ++slot) {
+      auto [g, h] = pairs.pair(slot);
+      indicators_.emplace_back(pattern_, system_.intersection(g, h),
+                               system_.group(g) | system_.group(h),
+                               options_.fd_lag);
+    }
   }
   auto n = static_cast<size_t>(system.process_count());
-  auto gc = static_cast<size_t>(system.group_count());
   procs_.resize(n);
   for (ProcessId p = 0; p < system.process_count(); ++p) {
-    auto st = std::make_unique<PerProcess>();
-    st->families = system_.families_of_process(p);
-    st->cons_family.assign(gc, groups::FamilyMask{});
+    PerProcess& st = procs_[static_cast<size_t>(p)];
+    const std::vector<groups::FamilyMask>& fp = oracle_.gamma().families_of(p);
     for (GroupId g : system_.groups_of(p)) {
       groups::FamilyMask mask;
-      for (GroupId h : system_.cyclic_neighbors(p, g)) mask.insert(h);
-      st->cons_family[static_cast<size_t>(g)] = mask;
+      for (GroupId h : system_.neighbors_in(fp, g)) mask.insert(h);
+      st.cons_family.push_back(mask);
     }
-    st->gamma_memo.resize(gc);
-    st->strict_memo.resize(gc);
-    procs_[static_cast<size_t>(p)] = std::move(st);
+    st.gamma_memo.resize(st.cons_family.size());
+    if (options_.strict) st.strict_memo.resize(st.cons_family.size());
   }
 
-  group_sequence_.resize(gc);
+  group_sequence_.resize(static_cast<size_t>(system.group_count()));
 
-  // Every (g,h) log up front, flat-indexed by GroupPairIndex. The
-  // map-on-demand scheme this replaces needed a shared mutable "empty log"
-  // fallback; pre-creating all group_count^2 slots (cheap: empty Log
-  // objects) keeps lookups branch-free and the engine thread-clean.
-  pair_index_ = groups::GroupPairIndex(system_.group_count());
-  logs_.reserve(static_cast<size_t>(pair_index_.size()));
-  for (int idx = 0; idx < pair_index_.size(); ++idx)
-    logs_.emplace_back(static_cast<std::int64_t>(idx),
+  // One log per intersecting pair, indexed (and journal-keyed) by the pair
+  // index slot. No process belongs to both groups of a disjoint pair, so no
+  // guard or effect ever names such a log.
+  logs_.reserve(static_cast<size_t>(pairs.size()));
+  for (int slot = 0; slot < pairs.size(); ++slot)
+    logs_.emplace_back(static_cast<std::int64_t>(slot),
                        options_.track_log_history);
 
   // The instants at which any guard input other than the logs and phases can
@@ -180,13 +182,13 @@ void MuMulticast::probe_execute(ProcessId p, const ActionChoice& c,
 // ∪ dst(m) over the issued messages (the minimality property of spec.cpp).
 void MuMulticast::flush_metrics() {
   sim::Metrics& reg = *probe_.reg;
-  for (GroupId g = 0; g < system_.group_count(); ++g)
-    for (GroupId h = g; h < system_.group_count(); ++h) {
-      const objects::Log& l = logs_[log_index(g, h)];
-      if (l.size() == 0) continue;
-      reg.gauge("log_size", group_label(g) + "x" + std::to_string(h))
-          .set(static_cast<std::int64_t>(l.size()));
-    }
+  for (size_t slot = 0; slot < logs_.size(); ++slot) {
+    const objects::Log& l = logs_[slot];
+    if (l.size() == 0) continue;
+    auto [g, h] = system_.pair_index().pair(static_cast<int>(slot));
+    reg.gauge("log_size", group_label(g) + "x" + std::to_string(h))
+        .set(static_cast<std::int64_t>(l.size()));
+  }
 
   ProcessSet addressed;
   for (const auto& m : record_.multicast) addressed |= system_.group(m.dst);
@@ -209,23 +211,28 @@ void MuMulticast::submit(MulticastMessage m) {
   auto mi = static_cast<std::int32_t>(workload_.size());
   workload_.push_back(m);
   index_of_.emplace(m.id, mi);
-  // Keep by_msg_id_ ascending by id (append is the common case: workloads
-  // are generated with increasing ids).
-  auto pos = by_msg_id_.end();
-  if (!by_msg_id_.empty() && workload_[static_cast<size_t>(
-                                 by_msg_id_.back())].id > m.id)
-    pos = std::upper_bound(by_msg_id_.begin(), by_msg_id_.end(), m.id,
-                           [this](MsgId id, std::int32_t j) {
-                             return id < workload_[static_cast<size_t>(j)].id;
-                           });
-  by_msg_id_.insert(pos, mi);
   group_sequence_[static_cast<size_t>(m.dst)].push_back(m.id);
-  for (auto& st : procs_) st->phase.push_back(Phase::kStart);
   GAM_METRICS_PROBE(if (probe_.reg) {
     probe_.submit_time.push_back(now_);
-    probe_.mcast_time.push_back(~sim::Time{0});
-    for (auto& v : probe_.stable_time) v.push_back(~sim::Time{0});
+    probe_.mcast_time.push_back(kNoStamp);
   });
+  for (ProcessId p : system_.group(m.dst)) {
+    PerProcess& st = procs_[static_cast<size_t>(p)];
+    st.phase.resize(static_cast<size_t>(mi) + 1, Phase::kStart);
+    GAM_METRICS_PROBE(if (probe_.reg) probe_.stable_time[static_cast<size_t>(p)]
+                          .resize(static_cast<size_t>(mi) + 1, kNoStamp));
+    st.by_submission.push_back(mi);
+    // Keep by_id ascending by id (append is the common case: workloads are
+    // generated with increasing ids).
+    auto pos = st.by_id.end();
+    if (!st.by_id.empty() &&
+        workload_[static_cast<size_t>(st.by_id.back())].id > m.id)
+      pos = std::upper_bound(st.by_id.begin(), st.by_id.end(), m.id,
+                             [this](MsgId id, std::int32_t j) {
+                               return id < workload_[static_cast<size_t>(j)].id;
+                             });
+    st.by_id.insert(pos, mi);
+  }
   GAM_METRICS_PROBE(if (span_sink_) span_sink_->on_span(
       {static_cast<std::uint64_t>(now_), m.src, sim::SpanKind::kSubmit, m.id,
        m.dst, 0}));
@@ -234,11 +241,7 @@ void MuMulticast::submit(MulticastMessage m) {
 }
 
 std::size_t MuMulticast::log_index(GroupId g, GroupId h) const {
-  return static_cast<size_t>(pair_index_.flat(g, h));
-}
-
-std::int64_t MuMulticast::journal_key(LogKey k) const {
-  return pair_index_.key(k.first, k.second);
+  return static_cast<size_t>(system_.pair_index().flat(g, h));
 }
 
 objects::Log& MuMulticast::log(GroupId g, GroupId h) {
@@ -250,14 +253,21 @@ const objects::Log& MuMulticast::log_of(GroupId g, GroupId h) const {
 }
 
 std::string MuMulticast::validate_log_invariants() const {
-  for (GroupId g = 0; g < system_.group_count(); ++g)
-    for (GroupId h = g; h < system_.group_count(); ++h) {
-      std::string err = logs_[log_index(g, h)].check_history();
-      if (!err.empty())
-        return "LOG(g" + std::to_string(g) + ",g" + std::to_string(h) +
-               "): " + err;
-    }
+  for (size_t slot = 0; slot < logs_.size(); ++slot) {
+    std::string err = logs_[slot].check_history();
+    if (err.empty()) continue;
+    auto [g, h] = system_.pair_index().pair(static_cast<int>(slot));
+    return "LOG(g" + std::to_string(g) + ",g" + std::to_string(h) + "): " +
+           err;
+  }
   return {};
+}
+
+std::size_t MuMulticast::group_slot(ProcessId p, GroupId g) const {
+  const std::vector<GroupId>& gp = system_.groups_of(p);
+  auto it = std::lower_bound(gp.begin(), gp.end(), g);
+  GAM_EXPECTS(it != gp.end() && *it == g);
+  return static_cast<size_t>(it - gp.begin());
 }
 
 Phase MuMulticast::phase_of(ProcessId p, MsgId m) const {
@@ -267,7 +277,11 @@ Phase MuMulticast::phase_of(ProcessId p, MsgId m) const {
 }
 
 Phase MuMulticast::phase_at(ProcessId p, std::int32_t mi) const {
-  return procs_[static_cast<size_t>(p)]->phase[static_cast<size_t>(mi)];
+  // A process never acts on a message outside its groups, whose phase there
+  // therefore stays kStart.
+  const std::vector<Phase>& phase = procs_[static_cast<size_t>(p)].phase;
+  auto i = static_cast<size_t>(mi);
+  return i < phase.size() ? phase[i] : Phase::kStart;
 }
 
 std::int32_t MuMulticast::index_of(MsgId m) const { return index_of_.at(m); }
@@ -413,8 +427,7 @@ bool MuMulticast::stabilize_enabled(ProcessId p, const MulticastMessage& m,
 
 const std::vector<GroupId>& MuMulticast::gamma_groups(ProcessId p,
                                                       GroupId g) const {
-  auto& memo =
-      procs_[static_cast<size_t>(p)]->gamma_memo[static_cast<size_t>(g)];
+  auto& memo = procs_[static_cast<size_t>(p)].gamma_memo[group_slot(p, g)];
   if (memo.version != fd_version()) {
     GAM_METRICS_PROBE(if (probe_.fd_gamma) probe_.fd_gamma->add());
     memo.groups = oracle_.gamma().gamma_of_group(p, g, now_);
@@ -427,24 +440,17 @@ const std::vector<GroupId>& MuMulticast::stable_wait_groups(ProcessId p,
                                                             GroupId g) const {
   if (!options_.strict) return gamma_groups(p, g);
   // Strict variant (§6.1): wait on every intersecting group unless its
-  // intersection with g is flagged dead by 1^{g∩h}. The indicator index walk
-  // mirrors the constructor's emplacement order.
-  auto& memo =
-      procs_[static_cast<size_t>(p)]->strict_memo[static_cast<size_t>(g)];
+  // intersection with g is flagged dead by 1^{g∩h}.
+  auto& memo = procs_[static_cast<size_t>(p)].strict_memo[group_slot(p, g)];
   if (memo.version != fd_version()) {
     memo.groups.clear();
-    size_t idx = 0;
-    for (GroupId a = 0; a < system_.group_count(); ++a)
-      for (GroupId b = a; b < system_.group_count(); ++b) {
-        if (system_.intersection(a, b).empty()) continue;
-        if (a == g || b == g) {
-          GroupId h = (a == g) ? b : a;
-          GAM_METRICS_PROBE(if (probe_.fd_indicator) probe_.fd_indicator->add());
-          auto flag = indicators_[idx].query(p, now_);
-          if (!(flag && *flag)) memo.groups.push_back(h);
-        }
-        ++idx;
-      }
+    const groups::GroupPairIndex& pairs = system_.pair_index();
+    for (GroupId h : pairs.neighbors(g)) {
+      GAM_METRICS_PROBE(if (probe_.fd_indicator) probe_.fd_indicator->add());
+      auto flag =
+          indicators_[static_cast<size_t>(pairs.flat(g, h))].query(p, now_);
+      if (!(flag && *flag)) memo.groups.push_back(h);
+    }
     memo.version = fd_version();
   }
   return memo.groups;
@@ -498,10 +504,10 @@ bool MuMulticast::deliver_enabled(ProcessId p, const MulticastMessage& m) const 
 // scan engine historically used), <_L order inside the pending log walk, and
 // submission order for multicast — so the two engines pick identical actions.
 MuMulticast::ActionChoice MuMulticast::resolve(ProcessId p) const {
-  const PerProcess& st = *procs_[static_cast<size_t>(p)];
+  const PerProcess& st = procs_[static_cast<size_t>(p)];
 
   // deliver (lines 34-37)
-  for (std::int32_t mi : by_msg_id_) {
+  for (std::int32_t mi : st.by_id) {
     if (st.phase[static_cast<size_t>(mi)] != Phase::kStable) continue;
     const MulticastMessage& m = workload_[static_cast<size_t>(mi)];
     if (!deliver_enabled(p, m)) continue;
@@ -510,7 +516,7 @@ MuMulticast::ActionChoice MuMulticast::resolve(ProcessId p) const {
   }
 
   // stable (lines 30-33)
-  for (std::int32_t mi : by_msg_id_) {
+  for (std::int32_t mi : st.by_id) {
     if (st.phase[static_cast<size_t>(mi)] != Phase::kCommit) continue;
     const MulticastMessage& m = workload_[static_cast<size_t>(mi)];
     if (!stable_enabled(p, m)) continue;
@@ -519,7 +525,7 @@ MuMulticast::ActionChoice MuMulticast::resolve(ProcessId p) const {
   }
 
   // stabilize (lines 25-29)
-  for (std::int32_t mi : by_msg_id_) {
+  for (std::int32_t mi : st.by_id) {
     if (st.phase[static_cast<size_t>(mi)] != Phase::kCommit) continue;
     const MulticastMessage& m = workload_[static_cast<size_t>(mi)];
     if (!sigma_allows(p, m.dst)) continue;
@@ -528,7 +534,7 @@ MuMulticast::ActionChoice MuMulticast::resolve(ProcessId p) const {
   }
 
   // commit (lines 16-24)
-  for (std::int32_t mi : by_msg_id_) {
+  for (std::int32_t mi : st.by_id) {
     if (st.phase[static_cast<size_t>(mi)] != Phase::kPending) continue;
     const MulticastMessage& m = workload_[static_cast<size_t>(mi)];
     if (!commit_enabled(p, m) || !sigma_allows(p, m.dst)) continue;
@@ -552,13 +558,13 @@ MuMulticast::ActionChoice MuMulticast::resolve(ProcessId p) const {
   }
 
   // multicast (lines 5-7)
-  for (size_t w = 0; w < workload_.size(); ++w) {
-    const MulticastMessage& m = workload_[w];
+  for (std::int32_t mi : st.by_submission) {
+    const MulticastMessage& m = workload_[static_cast<size_t>(mi)];
     if (!may_multicast(p, m)) continue;
-    if (st.phase[w] != Phase::kStart) continue;
+    if (st.phase[static_cast<size_t>(mi)] != Phase::kStart) continue;
     if (log_of(m.dst, m.dst).contains(LogEntry::message(m.id))) continue;
     if (!multicast_eligible(p, m) || !sigma_allows(p, m.dst)) continue;
-    return {ActionChoice::kMulticast, static_cast<std::int32_t>(w), -1};
+    return {ActionChoice::kMulticast, mi, -1};
   }
 
   return {};
@@ -567,7 +573,7 @@ MuMulticast::ActionChoice MuMulticast::resolve(ProcessId p) const {
 // ---- effects -----------------------------------------------------------------
 
 void MuMulticast::execute(ProcessId p, const ActionChoice& c) {
-  PerProcess& st = *procs_[static_cast<size_t>(p)];
+  PerProcess& st = procs_[static_cast<size_t>(p)];
   const MulticastMessage& m = workload_[static_cast<size_t>(c.mi)];
   MsgId mid = m.id;
   // Processes whose cached selection a log mutation may flip: every guard of
@@ -681,7 +687,7 @@ void MuMulticast::execute(ProcessId p, const ActionChoice& c) {
              return e.kind == LogEntry::kPosTuple && e.m == mid;
            }))
         k = std::max(k, e.i);
-      ConsKey key{mid, st.cons_family[static_cast<size_t>(m.dst)]};
+      ConsKey key{mid, st.cons_family[group_slot(p, m.dst)]};
       GAM_METRICS_PROBE(if (probe_.consensus) probe_.consensus->add());
       k = consensus_[key].propose(k, p, &journal_, mid);
       GAM_METRICS_PROBE(if (span_sink_) {

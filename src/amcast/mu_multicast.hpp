@@ -46,7 +46,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -168,8 +167,6 @@ class MuMulticast {
     }
   };
 
-  using LogKey = std::pair<groups::GroupId, groups::GroupId>;  // normalized
-
   // The outcome of guard evaluation for one process: the first action that
   // would fire, in the fixed priority order deliver > stable > stabilize >
   // commit > pending > multicast (ties within an action broken by ascending
@@ -191,7 +188,8 @@ class MuMulticast {
 
   objects::Log& log(groups::GroupId g, groups::GroupId h);
   std::size_t log_index(groups::GroupId g, groups::GroupId h) const;
-  std::int64_t journal_key(LogKey k) const;
+  // The position of g in groups_of(p), which must contain it.
+  std::size_t group_slot(ProcessId p, groups::GroupId g) const;
 
   // Guard evaluation (pure) and effect execution for the chosen action.
   ActionChoice resolve(ProcessId p) const;
@@ -237,24 +235,21 @@ class MuMulticast {
   const sim::FailurePattern& pattern_;
   Options options_;
   fd::MuOracle oracle_;
-  std::vector<fd::IndicatorOracle> indicators_;  // strict variant, per pair
+  std::vector<fd::IndicatorOracle> indicators_;  // strict variant, per pair slot
   Rng rng_;
   sim::Time now_ = 0;
 
   std::vector<MulticastMessage> workload_;       // dense storage, submission order
   std::unordered_map<MsgId, std::int32_t> index_of_;  // id -> dense index
-  std::vector<std::int32_t> by_msg_id_;          // dense indices, ascending id
   std::vector<std::vector<MsgId>> group_sequence_;    // per destination group
 
-  // All (g,h) logs, flat-indexed by pair_index_ (the flat index doubles as
-  // the journal key); GroupPairIndex sizes the layout from the actual group
-  // count, so no group id can alias another's slot.
-  groups::GroupPairIndex pair_index_;
+  // One log per intersecting (g,h), indexed by the system's pair_index()
+  // slot, which doubles as the journal key.
   std::vector<objects::Log> logs_;
   std::map<ConsKey, objects::Consensus> consensus_;
   objects::AccessJournal journal_;
 
-  std::vector<std::unique_ptr<PerProcess>> procs_;
+  std::vector<PerProcess> procs_;
 
   // The sorted instants at which any μ component (or the raw crash predicate
   // the helping rule reads) can change output; next_transition_ counts how
@@ -287,7 +282,7 @@ class MuMulticast {
     sim::Histogram* batch_occ = nullptr;  // actions drained per macro-step
     std::vector<sim::Time> submit_time;               // workload-indexed
     std::vector<sim::Time> mcast_time;                // workload-indexed
-    std::vector<std::vector<sim::Time>> stable_time;  // per process, workload-indexed
+    std::vector<std::vector<sim::Time>> stable_time;  // per process, like its phase
     std::vector<std::uint64_t> steps;                 // per process
   };
   Probe probe_;

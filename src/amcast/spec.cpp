@@ -59,31 +59,38 @@ bool has_cycle(const std::map<MsgId, std::set<MsgId>>& adj) {
 
 std::vector<std::pair<MsgId, MsgId>> delivery_relation(
     const RunRecord& run, const groups::GroupSystem& system) {
+  // m ↦p m' when p ∈ dst(m) ∩ dst(m'), p delivers m, and at that point has
+  // not delivered m' (either m' comes later at p, or never). Only messages
+  // addressed to p can take either end of such an edge, so each process
+  // walks its own deliveries and the messages to its own groups.
   auto idx = multicast_index(run);
-  auto per = local_orders(run);
-  std::set<std::pair<MsgId, MsgId>> edges;
-  for (const auto& [p, order] : per) {
+  std::vector<std::vector<MsgId>> to_group(
+      static_cast<size_t>(system.group_count()));
+  for (const auto& [id, m] : idx) {
+    GAM_EXPECTS(m.dst >= 0 && m.dst < system.group_count());
+    to_group[static_cast<size_t>(m.dst)].push_back(id);
+  }
+  std::vector<std::pair<MsgId, MsgId>> edges;
+  std::vector<MsgId> addressed, undelivered;
+  for (const auto& [p, order] : local_orders(run)) {
+    // p's deliveries of messages addressed to it, in local order.
+    addressed.clear();
+    for (MsgId m : order)
+      if (system.group(idx.at(m).dst).contains(p)) addressed.push_back(m);
     std::set<MsgId> delivered_here(order.begin(), order.end());
-    // m ↦p m' when p ∈ dst(m) ∩ dst(m'), p delivers m, and at that point has
-    // not delivered m' (either m' comes later at p, or never).
-    for (size_t i = 0; i < order.size(); ++i) {
-      MsgId m = order[i];
-      const auto& dm = idx.at(m);
-      // later deliveries at p
-      for (size_t j = i + 1; j < order.size(); ++j) {
-        MsgId m2 = order[j];
-        if (system.intersection(dm.dst, idx.at(m2).dst).contains(p))
-          edges.emplace(m, m2);
-      }
-      // messages addressed to p but never delivered by p
-      for (const auto& [m2, dm2] : idx) {
-        if (m2 == m || delivered_here.count(m2)) continue;
-        if (system.intersection(dm.dst, dm2.dst).contains(p))
-          edges.emplace(m, m2);
-      }
+    undelivered.clear();
+    for (GroupId g : system.groups_of(p))
+      for (MsgId m2 : to_group[static_cast<size_t>(g)])
+        if (!delivered_here.count(m2)) undelivered.push_back(m2);
+    for (size_t i = 0; i < addressed.size(); ++i) {
+      for (size_t j = i + 1; j < addressed.size(); ++j)
+        edges.emplace_back(addressed[i], addressed[j]);
+      for (MsgId m2 : undelivered) edges.emplace_back(addressed[i], m2);
     }
   }
-  return {edges.begin(), edges.end()};
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
 }
 
 SpecResult check_integrity(const RunRecord& run,

@@ -153,20 +153,10 @@ std::vector<Time> GammaOracle::transition_times() const {
 std::vector<groups::GroupId> GammaOracle::gamma_of_group(ProcessId p,
                                                          groups::GroupId g,
                                                          Time t) const {
-  // h ranges over the groups with g∩h ≠ ∅ such that g and h belong to a
-  // family still output by γ; h = g qualifies whenever such a family exists
+  // h = g qualifies whenever some family still output by γ contains g
   // (g∩g = g ≠ ∅), which the stable/commit preconditions of Algorithm 1 rely
   // on (Lemma 22 applies it with dst(m') = g).
-  std::vector<groups::GroupId> out;
-  for (groups::FamilyMask f : query(p, t)) {
-    if (!groups::family_contains(f, g)) continue;
-    for (groups::GroupId h : groups::family_members(f)) {
-      if (h != g && system_->intersection(g, h).empty()) continue;
-      if (std::find(out.begin(), out.end(), h) == out.end()) out.push_back(h);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return system_->neighbors_in(query(p, t), g);
 }
 
 // ---- 1^P ---------------------------------------------------------------------
@@ -193,22 +183,24 @@ std::vector<Time> IndicatorOracle::transition_times() const {
 
 MuOracle::MuOracle(const groups::GroupSystem& system,
                    const sim::FailurePattern& pattern, Time lag)
-    : system_(&system), gamma_(system, pattern, lag) {
+    : system_(&system),
+      disjoint_(pattern, ProcessSet{}, lag),
+      gamma_(system, pattern, lag) {
+  const groups::GroupPairIndex& pairs = system.pair_index();
+  sigmas_.reserve(static_cast<size_t>(pairs.size()));
+  for (int slot = 0; slot < pairs.size(); ++slot) {
+    auto [g, h] = pairs.pair(slot);
+    sigmas_.emplace_back(pattern, system.intersection(g, h), lag);
+  }
   int n = system.group_count();
-  sigmas_.reserve(static_cast<size_t>(n) * static_cast<size_t>(n));
-  for (groups::GroupId g = 0; g < n; ++g)
-    for (groups::GroupId h = 0; h < n; ++h)
-      sigmas_.emplace_back(pattern, system.intersection(g, h), lag);
   omegas_.reserve(static_cast<size_t>(n));
   for (groups::GroupId g = 0; g < n; ++g)
     omegas_.emplace_back(pattern, system.group(g), lag);
 }
 
 const SigmaOracle& MuOracle::sigma(groups::GroupId g, groups::GroupId h) const {
-  int n = system_->group_count();
-  GAM_EXPECTS(g >= 0 && g < n && h >= 0 && h < n);
-  return sigmas_[static_cast<size_t>(g) * static_cast<size_t>(n) +
-                 static_cast<size_t>(h)];
+  int slot = system_->pair_index().find(g, h);
+  return slot < 0 ? disjoint_ : sigmas_[static_cast<size_t>(slot)];
 }
 
 const OmegaOracle& MuOracle::omega(groups::GroupId g) const {

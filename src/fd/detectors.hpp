@@ -96,6 +96,12 @@ class GammaOracle {
   // γ(p, t): the cyclic families of F(p) this history still reports at t.
   std::vector<groups::FamilyMask> query(ProcessId p, Time t) const;
 
+  // F(p), computed once per process at construction.
+  const std::vector<groups::FamilyMask>& families_of(ProcessId p) const {
+    GAM_EXPECTS(p >= 0 && p < system_->process_count());
+    return families_of_[static_cast<size_t>(p)];
+  }
+
   // γ(g) at process p and time t (paper §3): the groups h with g∩h ≠ ∅ such
   // that g and h belong to a family output by γ(p, t).
   std::vector<groups::GroupId> gamma_of_group(ProcessId p, groups::GroupId g,
@@ -161,7 +167,7 @@ class MuOracle {
   MuOracle(const groups::GroupSystem& system,
            const sim::FailurePattern& pattern, Time lag = 0);
 
-  // Σ_{g∩h}; g == h gives Σ_g.
+  // Σ_{g∩h}; g == h gives Σ_g, and a disjoint pair gives Σ_∅ (⊥ everywhere).
   const SigmaOracle& sigma(groups::GroupId g, groups::GroupId h) const;
   // Ω_g.
   const OmegaOracle& omega(groups::GroupId g) const;
@@ -176,7 +182,8 @@ class MuOracle {
 
  private:
   const groups::GroupSystem* system_;
-  std::vector<SigmaOracle> sigmas_;   // indexed g * n + h
+  std::vector<SigmaOracle> sigmas_;   // indexed by the system's pair_index()
+  SigmaOracle disjoint_;              // Σ_∅, shared by every disjoint pair
   std::vector<OmegaOracle> omegas_;   // indexed g
   GammaOracle gamma_;
 };

@@ -30,6 +30,41 @@ GroupSystem::GroupSystem(int process_count, std::vector<ProcessSet> groups)
     GAM_EXPECTS(s.subset_of(ProcessSet::universe(process_count_)));
     for (ProcessId p : s) groups_of_[static_cast<size_t>(p)].push_back(g);
   }
+  pair_index_ = GroupPairIndex(*this);
+}
+
+GroupPairIndex::GroupPairIndex(const GroupSystem& system)
+    : neighbors_(static_cast<size_t>(system.group_count())) {
+  // Every g, h ∈ G(p) intersect in p, and every intersecting pair shows up
+  // at each process of its intersection.
+  for (ProcessId p = 0; p < system.process_count(); ++p)
+    for (GroupId g : system.groups_of(p))
+      for (GroupId h : system.groups_of(p))
+        neighbors_[static_cast<size_t>(g)].push_back(h);
+  for (GroupId g = 0; g < group_count(); ++g) {
+    std::vector<GroupId>& nb = neighbors_[static_cast<size_t>(g)];
+    std::sort(nb.begin(), nb.end());
+    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
+    auto pos = std::lower_bound(nb.begin(), nb.end(), g);
+    diagonal_pos_.push_back(static_cast<int>(pos - nb.begin()));
+    diagonal_slot_.push_back(size());
+    for (; pos != nb.end(); ++pos) {
+      GAM_INVARIANT(system.intersecting(g, *pos));
+      pairs_.emplace_back(g, *pos);
+    }
+  }
+}
+
+int GroupPairIndex::find(GroupId g, GroupId h) const {
+  GAM_EXPECTS(valid(g) && valid(h));
+  GroupId lo = std::min(g, h);
+  GroupId hi = std::max(g, h);
+  const std::vector<GroupId>& nb = neighbors_[static_cast<size_t>(lo)];
+  auto first = nb.begin() + diagonal_pos_[static_cast<size_t>(lo)];
+  auto it = std::lower_bound(first, nb.end(), hi);
+  if (it == nb.end() || *it != hi) return -1;
+  return diagonal_slot_[static_cast<size_t>(lo)] +
+         static_cast<int>(it - first);
 }
 
 ProcessSet GroupSystem::covered_processes() const {
@@ -87,9 +122,8 @@ const std::vector<FamilyMask>& GroupSystem::cyclic_families() const {
     while (!stack.empty()) {
       GroupId g = stack.back();
       stack.pop_back();
-      for (GroupId h = 0; h < n; ++h)
-        if (component[static_cast<size_t>(h)] == -1 &&
-            !intersection(g, h).empty()) {
+      for (GroupId h : pair_index_.neighbors(g))
+        if (component[static_cast<size_t>(h)] == -1) {
           component[static_cast<size_t>(h)] = c;
           stack.push_back(h);
         }
@@ -116,6 +150,16 @@ const std::vector<FamilyMask>& GroupSystem::cyclic_families() const {
   }
   // Ascending mask order, exactly what the former whole-set scan produced.
   std::sort(cyclic_families_.begin(), cyclic_families_.end());
+  // A process lies in some g∩h of two members of f exactly when it belongs
+  // to two of them.
+  for (FamilyMask f : cyclic_families_) {
+    ProcessSet seen, twice;
+    for (GroupId g : f) {
+      twice |= seen & group(g);
+      seen |= group(g);
+    }
+    family_intersections_.push_back(twice);
+  }
   families_computed_ = true;
   return cyclic_families_;
 }
@@ -129,16 +173,6 @@ void GroupSystem::sparse_cyclic_families(
                "enumeration of cyclic families up to size %d — the family "
                "set may be incomplete\n",
                members.size(), kExhaustiveComponentCap, kSparseFamilyCap);
-  // Neighbor lists restricted to this component.
-  std::vector<std::vector<GroupId>> nbrs(members.size());
-  for (size_t i = 0; i < members.size(); ++i)
-    for (size_t j = 0; j < members.size(); ++j)
-      if (i != j && !intersection(members[i], members[j]).empty())
-        nbrs[i].push_back(members[j]);
-  std::vector<int> pos(static_cast<size_t>(group_count()), -1);
-  for (size_t i = 0; i < members.size(); ++i)
-    pos[static_cast<size_t>(members[i])] = static_cast<int>(i);
-
   // Grow connected induced subgraphs outward from each root, adding only
   // groups with a larger id than the root so every subgraph is reached from
   // its minimum member exactly once (deduped by `seen` across growth paths).
@@ -156,7 +190,7 @@ void GroupSystem::sparse_cyclic_families(
       if (family_size(f) >= 3 && is_cyclic(f)) out.push_back(f);
       if (family_size(f) >= kSparseFamilyCap) continue;
       for (GroupId g : f) {
-        for (GroupId h : nbrs[static_cast<size_t>(pos[static_cast<size_t>(g)])]) {
+        for (GroupId h : pair_index_.neighbors(g)) {
           if (h <= root || f.contains(h)) continue;
           FamilyMask next = f;
           next.insert(h);
@@ -189,36 +223,28 @@ std::vector<FamilyMask> GroupSystem::families_of_group(GroupId g) const {
 
 std::vector<FamilyMask> GroupSystem::families_of_process(ProcessId p) const {
   GAM_EXPECTS(p >= 0 && p < process_count_);
+  const std::vector<FamilyMask>& all = cyclic_families();
   std::vector<FamilyMask> out;
-  for (FamilyMask f : cyclic_families()) {
-    auto members = family_members(f);
-    bool in_some_intersection = false;
-    for (size_t i = 0; i < members.size() && !in_some_intersection; ++i)
-      for (size_t j = i + 1; j < members.size(); ++j)
-        if (intersection(members[i], members[j]).contains(p)) {
-          in_some_intersection = true;
-          break;
-        }
-    if (in_some_intersection) out.push_back(f);
-  }
+  for (size_t i = 0; i < all.size(); ++i)
+    if (family_intersections_[i].contains(p)) out.push_back(all[i]);
   return out;
 }
 
 std::vector<GroupId> GroupSystem::cyclic_neighbors(ProcessId p,
                                                    GroupId g) const {
-  // H(p, g) = {h : ∃f' ∈ F(p). g,h ∈ f' ∧ g∩h ≠ ∅}; h = g qualifies whenever
-  // some family of F(p) contains g (g∩g = g ≠ ∅). Lemma 30 proves H(·, g) is
-  // the same at every member of a correct family, which makes it a sound
-  // consensus-object key in Algorithm 1 (line 20).
+  // Lemma 30 proves H(·, g) is the same at every member of a correct family,
+  // which makes it a sound consensus-object key in Algorithm 1 (line 20).
+  return neighbors_in(families_of_process(p), g);
+}
+
+std::vector<GroupId> GroupSystem::neighbors_in(
+    const std::vector<FamilyMask>& families, GroupId g) const {
+  FamilyMask with_g;
+  for (FamilyMask f : families)
+    if (family_contains(f, g)) with_g |= f;
   std::vector<GroupId> out;
-  for (FamilyMask f : families_of_process(p)) {
-    if (!family_contains(f, g)) continue;
-    for (GroupId h : family_members(f)) {
-      if (h != g && intersection(g, h).empty()) continue;
-      if (std::find(out.begin(), out.end(), h) == out.end()) out.push_back(h);
-    }
-  }
-  std::sort(out.begin(), out.end());
+  for (GroupId h : pair_index_.neighbors(g))
+    if (with_g.contains(h)) out.push_back(h);
   return out;
 }
 

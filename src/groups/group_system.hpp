@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/failure_pattern.hpp"
@@ -50,11 +51,64 @@ std::vector<GroupId> family_members(const FamilyMask& f);
 // (a Hamiltonian cycle read from some start, in some direction).
 using ClosedPath = std::vector<GroupId>;
 
+class GroupSystem;
+
+// Sparse index over the destination-group pairs {g, h} that share a process:
+// the diagonal (g, g) of every group plus every edge of the intersection
+// graph. Algorithm 1 keeps one log per such pair, μ one Σ_{g∩h} and the
+// strict variant one indicator 1^{g∩h}. A pair with g∩h = ∅ carries nothing
+// (Σ_∅ reads ⊥, and no process belongs to both groups), so it has no slot.
+// Slots are numbered in (lo, hi) order, so a walk over them visits the
+// intersecting pairs in the same order as a walk over every pair would.
+class GroupPairIndex {
+ public:
+  GroupPairIndex() = default;
+  // Reads the pairs off G(p): O(Σ_p |G(p)|²) candidates, no all-pairs scan.
+  explicit GroupPairIndex(const GroupSystem& system);
+
+  int group_count() const { return static_cast<int>(neighbors_.size()); }
+
+  // Number of slots: the group count plus the number of intersecting pairs.
+  int size() const { return static_cast<int>(pairs_.size()); }
+
+  // Slot of the unordered pair {g, h} (g == h allowed), or -1 when
+  // g∩h = ∅.
+  int find(GroupId g, GroupId h) const;
+
+  // Slot of {g, h}, which must intersect.
+  int flat(GroupId g, GroupId h) const {
+    int slot = find(g, h);
+    GAM_EXPECTS(slot >= 0);
+    return slot;
+  }
+
+  // The (lo, hi) pair of a slot.
+  std::pair<GroupId, GroupId> pair(int slot) const {
+    GAM_EXPECTS(slot >= 0 && slot < size());
+    return pairs_[static_cast<size_t>(slot)];
+  }
+
+  // The groups h with g∩h ≠ ∅, g itself included, ascending.
+  const std::vector<GroupId>& neighbors(GroupId g) const {
+    GAM_EXPECTS(valid(g));
+    return neighbors_[static_cast<size_t>(g)];
+  }
+
+ private:
+  bool valid(GroupId g) const { return g >= 0 && g < group_count(); }
+
+  std::vector<std::vector<GroupId>> neighbors_;
+  // Per group g: where g sits in neighbors_[g], and the slot of (g, g). The
+  // slots of (g, h) for the neighbors h > g follow that one in order.
+  std::vector<int> diagonal_pos_;
+  std::vector<int> diagonal_slot_;
+  std::vector<std::pair<GroupId, GroupId>> pairs_;  // slot -> (lo, hi)
+};
+
 class GroupSystem {
  public:
   // Hard limit on |G|: the FamilyMask group bitset holds this many group
-  // ids, and GroupPairIndex (below) sizes its flat (g,h) layout against it.
-  // Construction aborts with a diagnostic past the limit.
+  // ids. Construction aborts with a diagnostic past the limit.
   static constexpr int kMaxGroups = FamilyMask::kCapacity;
   static_assert(kMaxGroups == 128,
                 "FamilyMask width and kMaxGroups move together");
@@ -73,8 +127,11 @@ class GroupSystem {
     return group(g) & group(h);
   }
   bool intersecting(GroupId g, GroupId h) const {
-    return intersection(g, h).intersects(ProcessSet::universe(process_count_));
+    return !intersection(g, h).empty();
   }
+
+  // The intersecting pairs of G, diagonal included (see GroupPairIndex).
+  const GroupPairIndex& pair_index() const { return pair_index_; }
 
   // G(p): ids of the groups containing p.
   const std::vector<GroupId>& groups_of(ProcessId p) const {
@@ -117,6 +174,12 @@ class GroupSystem {
   // H(p, g) from Lemma 30: the groups h with g∩h ≠ ∅ such that some cyclic
   // family f ∈ F(p) contains both g and h.
   std::vector<GroupId> cyclic_neighbors(ProcessId p, GroupId g) const;
+
+  // The groups h with g∩h ≠ ∅ such that some family of `families` contains
+  // both g and h, ascending; h = g qualifies whenever some family contains
+  // g. H(p, g) is this over F(p), and γ(g) over the families γ outputs.
+  std::vector<GroupId> neighbors_in(const std::vector<FamilyMask>& families,
+                                    GroupId g) const;
 
   // cpaths(f): all closed paths in the intersection graph of f visiting every
   // group — i.e. every rotation and direction of every Hamiltonian cycle.
@@ -201,53 +264,12 @@ class GroupSystem {
   int process_count_;
   std::vector<ProcessSet> groups_;
   std::vector<std::vector<GroupId>> groups_of_;
+  GroupPairIndex pair_index_;
   mutable std::vector<FamilyMask> cyclic_families_;
+  // Per family of cyclic_families_: the processes in some g∩h of two of its
+  // members, so that F(p) is one bit test per family.
+  mutable std::vector<ProcessSet> family_intersections_;
   mutable bool families_computed_ = false;
-};
-
-// Flat index over normalized destination-group pairs (g, h).
-//
-// Algorithm 1 keeps one log per unordered pair of groups; the flat layout
-// used to be hand-rolled three ways (`lo * 64 + hi` twice and the sizing
-// expression `(gc - 1) * 64 + gc`), each with the magic 64 that a 65th group
-// would silently alias. This helper owns the pack: `flat()` for vector
-// indices, `key()` for int64 journal keys, `size()` for the backing-array
-// length. The stride is the actual group count, so the layout is dense in
-// the pair order (lo, hi) — the same iteration order the old stride-64
-// layout produced, which keeps scheduling and traces unchanged.
-class GroupPairIndex {
- public:
-  GroupPairIndex() = default;
-  explicit constexpr GroupPairIndex(int group_count)
-      : group_count_(group_count) {
-    GAM_EXPECTS(group_count > 0 && group_count <= GroupSystem::kMaxGroups);
-  }
-
-  constexpr int group_count() const { return group_count_; }
-
-  // Length of a flat array indexed by flat().
-  constexpr int size() const { return group_count_ * group_count_; }
-
-  // Normalized flat index of the unordered pair {g, h} (g == h allowed):
-  // min * group_count + max.
-  constexpr int flat(GroupId g, GroupId h) const {
-    GAM_EXPECTS(valid(g) && valid(h));
-    GroupId lo = g < h ? g : h;
-    GroupId hi = g < h ? h : g;
-    return lo * group_count_ + hi;
-  }
-
-  // The same pack as an int64 journal/object key.
-  constexpr std::int64_t key(GroupId g, GroupId h) const {
-    return static_cast<std::int64_t>(flat(g, h));
-  }
-
- private:
-  constexpr bool valid(GroupId g) const {
-    return g >= 0 && g < group_count_;
-  }
-
-  int group_count_ = 0;
 };
 
 // The running example of the paper (Figure 1): P = {p0..p4} with

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 
+#include "groups/generator.hpp"
+
 namespace gam::groups {
 namespace {
 
@@ -263,6 +265,70 @@ TEST(GroupSystemLimits, PastTheOldSixtyFourCeiling) {
     EXPECT_TRUE(std::count(fams.begin(), fams.end(),
                            family_of({3 * t, 3 * t + 1, 3 * t + 2})) == 1)
         << "triangle " << t;
+}
+
+// F(p) and H(p, g) by brute force, scanning every pair of members of every
+// family: the reference families_of_process and cyclic_neighbors must match.
+std::vector<FamilyMask> brute_families_of_process(const GroupSystem& sys,
+                                                  ProcessId p) {
+  std::vector<FamilyMask> out;
+  for (FamilyMask f : sys.cyclic_families()) {
+    auto members = family_members(f);
+    bool in_some_intersection = false;
+    for (size_t i = 0; i < members.size() && !in_some_intersection; ++i)
+      for (size_t j = i + 1; j < members.size(); ++j)
+        if (sys.intersection(members[i], members[j]).contains(p)) {
+          in_some_intersection = true;
+          break;
+        }
+    if (in_some_intersection) out.push_back(f);
+  }
+  return out;
+}
+
+std::vector<GroupId> brute_cyclic_neighbors(
+    const GroupSystem& sys, const std::vector<FamilyMask>& families_of_p,
+    GroupId g) {
+  std::vector<GroupId> out;
+  for (FamilyMask f : families_of_p) {
+    if (!family_contains(f, g)) continue;
+    for (GroupId h : family_members(f)) {
+      if (h != g && sys.intersection(g, h).empty()) continue;
+      if (std::find(out.begin(), out.end(), h) == out.end()) out.push_back(h);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(GroupSystem, FamiliesAndCyclicNeighborsMatchBruteForce) {
+  std::vector<GroupSystem> systems;
+  systems.push_back(figure1_system());
+  // The chord topology of MuMulticast.ChordTopologyStaysLiveWhen-
+  // ChordIntersectionDies.
+  systems.push_back(GroupSystem(7, {ProcessSet{0, 1, 4, 5}, ProcessSet{0, 2, 3, 6},
+                                    ProcessSet{1, 2}, ProcessSet{3, 4}}));
+  // The 22-group chain of SparseFamilies, closed into one triangle.
+  std::vector<ProcessSet> chain;
+  for (int i = 0; i < 22; ++i) chain.push_back(ProcessSet{i, i + 1});
+  chain[0].insert(50);
+  chain[2].insert(50);
+  systems.push_back(GroupSystem(51, chain));
+  systems.push_back(clustered_ring_system(32, 4, 2));
+  for (const GroupSystem& sys : systems) {
+    ASSERT_FALSE(sys.cyclic_families().empty());
+    size_t with_families = 0;
+    for (ProcessId p = 0; p < sys.process_count(); ++p) {
+      auto want = brute_families_of_process(sys, p);
+      ASSERT_EQ(sys.families_of_process(p), want) << "p" << p;
+      if (!want.empty()) ++with_families;
+      for (GroupId g = 0; g < sys.group_count(); ++g)
+        ASSERT_EQ(sys.cyclic_neighbors(p, g),
+                  brute_cyclic_neighbors(sys, want, g))
+            << "p" << p << " g" << g;
+    }
+    EXPECT_GT(with_families, 0u);
+  }
 }
 
 using GroupSystemDeathTest = ::testing::Test;

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "groups/generator.hpp"
 #include "groups/group_system.hpp"
+#include "util/rng.hpp"
 
 namespace gam::amcast {
 namespace {
@@ -161,6 +167,95 @@ TEST(Spec, DeliveryRelationEdges) {
   // p1 ∈ g0∩g1 delivers m0 before m1 -> the only edge is (m0, m1).
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_EQ(edges[0], (std::pair<MsgId, MsgId>{0, 1}));
+}
+
+// ↦ by brute force, every delivery against every multicast message: the
+// reference delivery_relation must match.
+std::vector<std::pair<MsgId, MsgId>> brute_delivery_relation(
+    const RunRecord& run, const groups::GroupSystem& system) {
+  std::map<MsgId, MulticastMessage> idx;
+  for (const auto& m : run.multicast) idx[m.id] = m;
+  std::map<ProcessId, std::vector<MsgId>> per;
+  std::vector<Delivery> sorted = run.deliveries;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Delivery& a, const Delivery& b) {
+              return std::make_pair(a.p, a.local_seq) <
+                     std::make_pair(b.p, b.local_seq);
+            });
+  for (const auto& d : sorted) per[d.p].push_back(d.m);
+  std::set<std::pair<MsgId, MsgId>> edges;
+  for (const auto& [p, order] : per) {
+    std::set<MsgId> delivered_here(order.begin(), order.end());
+    for (size_t i = 0; i < order.size(); ++i) {
+      MsgId m = order[i];
+      const auto& dm = idx.at(m);
+      for (size_t j = i + 1; j < order.size(); ++j) {
+        MsgId m2 = order[j];
+        if (system.intersection(dm.dst, idx.at(m2).dst).contains(p))
+          edges.emplace(m, m2);
+      }
+      for (const auto& [m2, dm2] : idx) {
+        if (m2 == m || delivered_here.count(m2)) continue;
+        if (system.intersection(dm.dst, dm2.dst).contains(p))
+          edges.emplace(m, m2);
+      }
+    }
+  }
+  return {edges.begin(), edges.end()};
+}
+
+// A seeded run record over `sys`: each process delivers a random prefix of a
+// random order of the messages addressed to it (crashed processes deliver
+// none), now and then a message outside its groups or one twice, and the
+// deliveries are listed out of local order.
+RunRecord random_record(const groups::GroupSystem& sys, Rng& rng) {
+  RunRecord r;
+  int messages = static_cast<int>(rng.range(1, 3 * sys.group_count()));
+  for (MsgId id = 0; id < messages; ++id) {
+    auto g = static_cast<GroupId>(
+        rng.below(static_cast<std::uint64_t>(sys.group_count())));
+    std::vector<ProcessId> members(sys.group(g).begin(), sys.group(g).end());
+    r.multicast.push_back(
+        {id, g, members[rng.below(members.size())], id});
+    r.multicast_time.push_back(id);
+  }
+  for (ProcessId p = 0; p < sys.process_count(); ++p) {
+    if (rng.chance(0.1)) continue;  // crashed before delivering anything
+    std::vector<MsgId> order;
+    for (const auto& m : r.multicast)
+      if (sys.group(m.dst).contains(p) || rng.chance(0.01))
+        order.push_back(m.id);
+    for (size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.below(i)]);
+    order.resize(static_cast<size_t>(
+        rng.range(0, static_cast<std::int64_t>(order.size()))));
+    if (!order.empty() && rng.chance(0.05))
+      order.push_back(order[rng.below(order.size())]);
+    for (size_t k = 0; k < order.size(); ++k)
+      r.deliveries.push_back({p, order[k], static_cast<Time>(k),
+                              static_cast<std::int64_t>(k)});
+  }
+  std::reverse(r.deliveries.begin(), r.deliveries.end());
+  for (size_t i = r.deliveries.size(); i > 1; --i)
+    if (rng.chance(0.5))
+      std::swap(r.deliveries[i - 1], r.deliveries[rng.below(i)]);
+  return r;
+}
+
+TEST(Spec, DeliveryRelationMatchesBruteForce) {
+  for (const groups::GroupSystem& sys :
+       {groups::figure1_system(), groups::clustered_ring_system(32, 4, 2)}) {
+    Rng rng(7);
+    size_t edges = 0;
+    for (int i = 0; i < 40; ++i) {
+      RunRecord r = random_record(sys, rng);
+      auto want = brute_delivery_relation(r, sys);
+      ASSERT_EQ(delivery_relation(r, sys), want)
+          << sys.group_count() << " groups, record " << i;
+      edges += want.size();
+    }
+    EXPECT_GT(edges, 0u);
+  }
 }
 
 }  // namespace

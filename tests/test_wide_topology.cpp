@@ -1,10 +1,11 @@
 // Coverage for the widened id space: the IdPacker ballot/timestamp helper,
-// the GroupPairIndex flat (g,h) layout, the sparse cyclic-family fallback
-// for big intersection-graph components, and 128-group / 256-process
+// the GroupPairIndex over intersecting (g,h) pairs, the sparse cyclic-family
+// fallback for big intersection-graph components, and 128-group / 256-process
 // topologies running Algorithm 1 and the RunSpec-backed ReplicatedMulticast
 // end to end with the invariant monitors clean.
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,33 +76,69 @@ TEST(IdPackerDeathTest, ContractViolations) {
 // ---- GroupPairIndex ---------------------------------------------------------
 
 TEST(GroupPairIndex, NormalizesAndSizes) {
-  groups::GroupPairIndex idx(5);
-  EXPECT_EQ(idx.size(), 25);
-  EXPECT_EQ(idx.flat(3, 1), idx.flat(1, 3));
-  EXPECT_EQ(idx.flat(1, 3), 1 * 5 + 3);
-  EXPECT_EQ(idx.flat(4, 4), 24);
-  EXPECT_EQ(idx.key(3, 1), static_cast<std::int64_t>(idx.flat(1, 3)));
+  // Figure 1 has four groups and five intersecting pairs: every pair but
+  // g1∩g3 = ∅. One slot each, the diagonal included.
+  auto sys = groups::figure1_system();
+  const groups::GroupPairIndex& idx = sys.pair_index();
+  int intersecting = 0;
+  for (groups::GroupId g = 0; g < sys.group_count(); ++g)
+    for (groups::GroupId h = g + 1; h < sys.group_count(); ++h)
+      if (sys.intersecting(g, h)) ++intersecting;
+  EXPECT_EQ(intersecting, 5);
+  EXPECT_EQ(idx.size(), sys.group_count() + intersecting);
+  EXPECT_EQ(idx.flat(3, 0), idx.flat(0, 3));
+  EXPECT_EQ(idx.flat(0, 0), 0);
+  EXPECT_EQ(idx.flat(3, 3), idx.size() - 1);
+  EXPECT_EQ(idx.find(1, 3), -1);
+  EXPECT_EQ(idx.find(3, 1), -1);
+  EXPECT_EQ(idx.neighbors(1), (std::vector<groups::GroupId>{0, 1, 2}));
+}
+
+TEST(GroupPairIndex, SizedByTheIntersectionGraph) {
+  // 128 groups in 32 disjoint 4-rings: 128 diagonal slots plus 128 ring
+  // edges, not 128².
+  auto sys = groups::clustered_ring_system(32, 4, 2);
+  ASSERT_EQ(sys.group_count(), 128);
+  EXPECT_EQ(sys.pair_index().size(), 256);
 }
 
 TEST(GroupPairIndex, NoAliasingPastSixtyFourGroups) {
-  // The old `lo * 64 + hi` pack aliased (0, 65) with (1, 1). Every
-  // normalized pair must map to a distinct slot inside [0, size()).
-  groups::GroupPairIndex idx(groups::GroupSystem::kMaxGroups);
-  std::vector<int> hit(static_cast<size_t>(idx.size()), 0);
-  for (int g = 0; g < idx.group_count(); ++g)
-    for (int h = g; h < idx.group_count(); ++h) {
-      int f = idx.flat(g, h);
-      ASSERT_GE(f, 0);
-      ASSERT_LT(f, idx.size());
-      ASSERT_EQ(hit[static_cast<size_t>(f)]++, 0) << g << "," << h;
-    }
+  // Every intersecting pair has its own slot, the slots run in (lo, hi)
+  // order with no gap, and pair() reads each one back, on both sides of
+  // group id 64.
+  for (const groups::GroupSystem& sys :
+       {groups::figure1_system(), groups::clustered_ring_system(32, 4, 2)}) {
+    const groups::GroupPairIndex& idx = sys.pair_index();
+    std::vector<int> hit(static_cast<size_t>(idx.size()), 0);
+    int next = 0;
+    for (groups::GroupId g = 0; g < sys.group_count(); ++g)
+      for (groups::GroupId h = g; h < sys.group_count(); ++h) {
+        if (!sys.intersecting(g, h)) {
+          ASSERT_EQ(idx.find(g, h), -1) << g << "," << h;
+          continue;
+        }
+        int f = idx.flat(g, h);
+        ASSERT_EQ(f, next++) << g << "," << h;
+        ASSERT_EQ(hit[static_cast<size_t>(f)]++, 0) << g << "," << h;
+        EXPECT_EQ(idx.flat(h, g), f);
+        EXPECT_EQ(idx.pair(f), std::make_pair(g, h));
+      }
+    EXPECT_EQ(next, idx.size());
+  }
 }
 
 TEST(GroupPairIndexDeathTest, RejectsForeignGroupIds) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  groups::GroupPairIndex idx(4);
+  auto sys = groups::figure1_system();
+  const groups::GroupPairIndex& idx = sys.pair_index();
   EXPECT_DEATH(idx.flat(0, 4), "Precondition");
   EXPECT_DEATH(idx.flat(-1, 0), "Precondition");
+}
+
+TEST(GroupPairIndexDeathTest, RejectsDisjointPairs) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto sys = groups::figure1_system();
+  EXPECT_DEATH(sys.pair_index().flat(1, 3), "Precondition");  // g1∩g3 = ∅
 }
 
 // ---- sparse cyclic-family fallback ------------------------------------------
