@@ -93,7 +93,7 @@ int main() {
         ReplicatedMulticast rm(sys, pat, {.seed = 7});
         for (auto& m : workload) rm.submit(m);
         cell = cost_of(rm.run());
-        cell.wire_messages = rm.messages_sent();
+        cell.wire_messages = rm.wire_messages();
         break;
       }
       default:

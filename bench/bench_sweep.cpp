@@ -36,8 +36,9 @@
 // produce bit-identical runs whether it executes inline or on the pool.
 //
 // Output: human-readable table + BENCH_sim.json (see EXPERIMENTS.md for the
-// schema). Exit code is non-zero when the determinism gate fails, so this
-// binary doubles as the ThreadSanitizer smoke test (`bench_sweep --quick`).
+// schema). Exit code is non-zero when the determinism gate fails or any run
+// ends at its step budget instead of quiescing, so this binary doubles as
+// the ThreadSanitizer smoke test (`bench_sweep --quick`).
 // On a gate failure the divergent seed is replayed twice inline with full
 // event recording, both traces are dumped, and the first divergent event is
 // printed (the same report `tools/trace_diff` produces offline).
@@ -181,11 +182,9 @@ const ProtocolDescriptor& descriptor(const char* name) {
 // The one construction-and-run path every configuration funnels through
 // (ISSUE 10): build from the descriptor, attach sinks/metrics/spans
 // uniformly, submit, run, absorb wire/alloc stats when the protocol carries a
-// World. The per-engine quirks the helpers below used to hand-wire —
-// run()/run_with() dispatch for Algorithm 1, sinks through
-// world().set_trace_sink for the World engines — live behind the adapters in
-// src/amcast/protocol.cpp now, and the call order here reproduces the old
-// hand-wired order byte for byte (the golden trace gate pins it).
+// World. Every engine implements amcast::Protocol itself and reads the
+// adversary's scheduler from its options, and the call order here reproduces
+// the old hand-wired order byte for byte (the golden trace gate pins it).
 RunResult run_protocol(const ProtocolDescriptor& d,
                        const groups::GroupSystem& sys,
                        const sim::FailurePattern& pat,
@@ -412,6 +411,17 @@ bool sweep_both(const Config& cfg, const char* name, int n,
   double speedup = sp.wall_seconds > 0 ? s1.wall_seconds / sp.wall_seconds : 0;
   std::printf("  %-28s speedup=%.2fx  determinism=%s\n\n", "",
               speedup, ok ? "ok" : "VIOLATED");
+  // A run cut off by the step budget has no verdict (the monitors and spec
+  // checks only judge finished runs), so it fails the sweep like a violation.
+  if (s1.quiescent_runs != static_cast<std::uint64_t>(n)) {
+    std::printf("  NOT QUIESCENT: %s — %llu of %d run(s) ended at the step "
+                "budget\n\n",
+                name,
+                static_cast<unsigned long long>(
+                    static_cast<std::uint64_t>(n) - s1.quiescent_runs),
+                n);
+    ok = false;
+  }
   json.add(s1);
   json.add(sp);
   if (speedup_out) *speedup_out = speedup;

@@ -187,7 +187,7 @@ int main() {
             sweep([](const groups::GroupSystem& sys,
                      const sim::FailurePattern& pat, std::uint64_t seed,
                      std::vector<MulticastMessage> w) {
-              MuMulticast mc(sys, pat, perfect_fd_options(seed));
+              MuMulticast mc(sys, pat, perfect_fd_options({.seed = seed}));
               for (auto& m : w) mc.submit(m);
               return mc.run();
             }));

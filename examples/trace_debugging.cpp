@@ -64,7 +64,7 @@ int main() {
     auto sys2 = groups::disjoint_system(2, 3);
     sim::FailurePattern nofail(sys2.process_count());
     amcast::ReplicatedMulticast rm(sys2, nofail, {.seed = seed});
-    rm.world().set_trace_sink(&rec);
+    rm.set_event_sink(&rec);
     for (auto& m : amcast::round_robin_workload(sys2, 1)) rm.submit(m);
     rm.run();
   };

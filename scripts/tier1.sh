@@ -162,18 +162,28 @@ echo "tier1: batching equivalence gate OK"
 # guard engines may not disagree about which actions a hostile interleaving
 # enables.
 "$BUILD_DIR"/bench/bench_sweep --quick --seeds=1 --adversary=pct:3 \
-  --out="$TRACE_DIR"/advinc.json --trace="$TRACE_DIR"/advinc >/dev/null
+  --out="$TRACE_DIR"/advinc.json --trace="$TRACE_DIR"/adv.pct3 >/dev/null
 "$BUILD_DIR"/bench/bench_sweep --quick --seeds=1 --adversary=pct:3 \
   --engine=scan \
   --out="$TRACE_DIR"/advscan.json --trace="$TRACE_DIR"/advscan >/dev/null
 for cfg in e3_mu_k16 e3_mu_k64 e3_mu_hirate_base e3_mu_hirate_batched \
            figure1_crashes; do
   "$BUILD_DIR"/tools/trace_diff \
-    "$TRACE_DIR/advinc.$cfg.trace" "$TRACE_DIR/advscan.$cfg.trace" \
+    "$TRACE_DIR/adv.pct3.$cfg.trace" "$TRACE_DIR/advscan.$cfg.trace" \
     || { echo "tier1: FAIL — engines diverge under pct:3 adversary ($cfg)"; \
          exit 1; }
 done
 echo "tier1: adversary engine-equivalence gate OK"
+
+# Adversary byte-identity gate: both engines above could move together, and
+# no other pin runs Algorithm 1 under PCT or the baselines at all.
+# scripts/golden_trace_hashes_adversary.txt pins the pct:3 traces of the six
+# Algorithm-1 configs and the default-order traces of skeen and broadcast.
+"$BUILD_DIR"/bench/bench_sweep --quick --seeds=1 \
+  --protocol=skeen --protocol=broadcast \
+  --out="$TRACE_DIR"/advrand.json --trace="$TRACE_DIR"/adv.random >/dev/null
+check_golden scripts/golden_trace_hashes_adversary.txt "$TRACE_DIR/adv"
+echo "tier1: adversary trace byte-identity gate OK"
 
 # Adversary smoke: on the honest protocol every hunt strategy must come back
 # clean — the monitors may not cry wolf under hostile schedules or

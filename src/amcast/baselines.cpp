@@ -2,84 +2,54 @@
 
 #include <algorithm>
 
+#include "amcast/spec.hpp"  // record_ledger
+
 namespace gam::amcast {
 
-namespace {
+// ---- BaselineMulticast ---------------------------------------------------------
 
-// Reusable shuffled process order for the scheduling rounds — one allocation
-// per run instead of one per round.
-class RoundScheduler {
- public:
-  explicit RoundScheduler(int n) : order_(static_cast<size_t>(n)) {
-    for (int p = 0; p < n; ++p) order_[static_cast<size_t>(p)] = p;
-  }
+void BaselineMulticast::submit(const MulticastMessage& m) {
+  GAM_EXPECTS(system_.group(m.dst).contains(m.src));
+  workload_.push_back(m);
+  by_id_[m.id] = m;
+}
 
-  const std::vector<ProcessId>& shuffle(Rng& rng) {
-    for (size_t i = order_.size(); i > 1; --i)
-      std::swap(order_[i - 1], order_[rng.below(i)]);
-    return order_;
-  }
-
- private:
-  std::vector<ProcessId> order_;
-};
-
-void attach_probe(BaselineProbe& probe, sim::Metrics* m, int process_count) {
-  probe = BaselineProbe{};
-  probe.reg = m;
+void BaselineMulticast::set_metrics(sim::Metrics* m) {
+  probe_ = Probe{};
+  probe_.reg = m;
   if (!m) return;
-  probe.steps.assign(static_cast<size_t>(process_count), 0);
-  probe.handled.assign(static_cast<size_t>(process_count), 0);
+  probe_.steps.assign(static_cast<size_t>(system_.process_count()), 0);
+  probe_.handled.assign(static_cast<size_t>(system_.process_count()), 0);
 }
 
-// The genuineness ledger (mirrors spec.cpp's minimality check): activity
-// attributable to processes outside ∪ dst(m) of the issued messages.
-// maybe_unused: every call site compiles out under GAM_NO_METRICS.
-[[maybe_unused]] void flush_ledger(BaselineProbe& probe,
-                                   const groups::GroupSystem& system,
-                                   const RunRecord& record) {
-  sim::Metrics& reg = *probe.reg;
-  ProcessSet addressed;
-  for (const auto& m : record.multicast) addressed |= system.group(m.dst);
-  std::uint64_t steps_outside = 0, msgs_outside = 0;
-  for (ProcessId p = 0; p < system.process_count(); ++p) {
-    if (addressed.contains(p)) continue;
-    steps_outside += probe.steps[static_cast<size_t>(p)];
-    msgs_outside += probe.handled[static_cast<size_t>(p)];
-  }
-  reg.gauge("non_addressee_steps")
-      .set(static_cast<std::int64_t>(steps_outside));
-  reg.gauge("non_addressee_processes").set((record.active - addressed).size());
-  reg.gauge("non_addressee_messages")
-      .set(static_cast<std::int64_t>(msgs_outside));
+bool BaselineMulticast::count_step(ProcessId p) {
+  ++now_;
+  ++record_.steps;
+  record_.active.insert(p);
+  GAM_METRICS_PROBE(if (probe_.reg) ++probe_.steps[static_cast<size_t>(p)]);
+  return true;
 }
 
-}  // namespace
+void BaselineMulticast::finish_run() {
+  GAM_METRICS_PROBE(if (probe_.reg) record_ledger(
+      *probe_.reg, record_, system_,
+      [this](ProcessId p) { return probe_.steps[static_cast<size_t>(p)]; },
+      [this](ProcessId p) { return probe_.handled[static_cast<size_t>(p)]; }));
+  if (event_sink_) emit_synthesized_events(record_, *event_sink_);
+}
 
 // ---- BroadcastMulticast --------------------------------------------------------
 
 BroadcastMulticast::BroadcastMulticast(const groups::GroupSystem& system,
                                        const sim::FailurePattern& pattern,
                                        Options options)
-    : system_(system),
-      pattern_(pattern),
-      options_(options),
-      rng_(options.seed),
+    : BaselineMulticast(system, pattern, options),
       cursor_(static_cast<size_t>(system.process_count()), 0),
       next_own_(static_cast<size_t>(system.process_count()), 0),
       local_seq_(static_cast<size_t>(system.process_count()), 0) {}
 
-void BroadcastMulticast::submit(MulticastMessage m) {
-  GAM_EXPECTS(system_.group(m.dst).contains(m.src));
-  workload_.push_back(m);
-  by_id_[m.id] = m;
-}
-
-void BroadcastMulticast::set_metrics(sim::Metrics* m) {
-  attach_probe(probe_, m, system_.process_count());
-}
-
 bool BroadcastMulticast::step_process(ProcessId p) {
+  if (pattern_.crashed(p, now_)) return false;
   auto pi = static_cast<size_t>(p);
   // 1. Broadcast the next unsent own message (senders broadcast in
   //    submission order; the global log induces the total order). Only p
@@ -94,7 +64,7 @@ bool BroadcastMulticast::step_process(ProcessId p) {
     record_.multicast_time.push_back(now_);
     GAM_METRICS_PROBE(if (probe_.reg) probe_.mcast_time[m.id] = now_);
     ++i;
-    return true;
+    return count_step(p);
   }
   // 2. Consume the next broadcast entry — *every* process pays this step for
   //    *every* message; that is precisely what genuineness forbids.
@@ -109,33 +79,9 @@ bool BroadcastMulticast::step_process(ProcessId p) {
                                         "g" + std::to_string(m.dst))
                             .record(now_ - probe_.mcast_time.at(mid)));
     }
-    return true;
+    return count_step(p);
   }
   return false;
-}
-
-RunRecord BroadcastMulticast::run() {
-  RoundScheduler sched(system_.process_count());
-  while (record_.steps < options_.max_steps) {
-    bool fired = false;
-    for (ProcessId p : sched.shuffle(rng_)) {
-      if (pattern_.crashed(p, now_)) continue;
-      if (step_process(p)) {
-        fired = true;
-        ++now_;
-        ++record_.steps;
-        record_.active.insert(p);
-        GAM_METRICS_PROBE(
-            if (probe_.reg) ++probe_.steps[static_cast<size_t>(p)]);
-      }
-    }
-    if (!fired) {
-      record_.quiescent = true;
-      break;
-    }
-  }
-  GAM_METRICS_PROBE(if (probe_.reg) flush_ledger(probe_, system_, record_));
-  return record_;
 }
 
 // ---- SkeenMulticast -------------------------------------------------------------
@@ -143,21 +89,8 @@ RunRecord BroadcastMulticast::run() {
 SkeenMulticast::SkeenMulticast(const groups::GroupSystem& system,
                                const sim::FailurePattern& pattern,
                                Options options)
-    : system_(system),
-      pattern_(pattern),
-      options_(options),
-      rng_(options.seed),
+    : BaselineMulticast(system, pattern, options),
       procs_(static_cast<size_t>(system.process_count())) {}
-
-void SkeenMulticast::submit(MulticastMessage m) {
-  GAM_EXPECTS(system_.group(m.dst).contains(m.src));
-  workload_.push_back(m);
-  by_id_[m.id] = m;
-}
-
-void SkeenMulticast::set_metrics(sim::Metrics* m) {
-  attach_probe(probe_, m, system_.process_count());
-}
 
 bool SkeenMulticast::step_sender(const MulticastMessage& m) {
   PerMessage& st = state_[m.id];
@@ -230,56 +163,36 @@ int SkeenMulticast::try_deliver(ProcessId p) {
   }
 }
 
-RunRecord SkeenMulticast::run() {
-  RoundScheduler sched(system_.process_count());
-  while (record_.steps < options_.max_steps) {
-    bool fired = false;
-    for (ProcessId p : sched.shuffle(rng_)) {
-      if (pattern_.crashed(p, now_)) continue;
-      bool acted = false;
-      // Sender duties.
-      for (const MulticastMessage& m : workload_) {
-        if (m.src != p) continue;
-        if (step_sender(m)) {
-          acted = true;
-          break;
-        }
-      }
-      // Proposal duties: answer one outstanding request.
-      if (!acted) {
-        for (auto& [mid, st] : state_) {
-          if (!st.sent || st.final_ts >= 0) continue;
-          const MulticastMessage& m = by_id_.at(mid);
-          if (!system_.group(m.dst).contains(p) || st.proposals.count(p))
-            continue;
-          auto& me = procs_[static_cast<size_t>(p)];
-          std::int64_t ts = ++me.clock;
-          st.proposals[p] = ts;
-          me.pending[mid] = {ts, false};
-          ++wire_messages_;  // the reply
-          acted = true;
-          break;
-        }
-      }
-      // Delivery from the holdback queue is a protocol step of its own: a
-      // member with nothing else to do must still drain deliverable messages.
-      if (try_deliver(p) > 0) acted = true;
-      if (acted) {
-        fired = true;
-        ++now_;
-        ++record_.steps;
-        record_.active.insert(p);
-        GAM_METRICS_PROBE(
-            if (probe_.reg) ++probe_.steps[static_cast<size_t>(p)]);
-      }
-    }
-    if (!fired) {
-      record_.quiescent = true;
+bool SkeenMulticast::step_process(ProcessId p) {
+  if (pattern_.crashed(p, now_)) return false;
+  bool acted = false;
+  // Sender duties.
+  for (const MulticastMessage& m : workload_) {
+    if (m.src != p) continue;
+    if (step_sender(m)) {
+      acted = true;
       break;
     }
   }
-  GAM_METRICS_PROBE(if (probe_.reg) flush_ledger(probe_, system_, record_));
-  return record_;
+  // Proposal duties: answer one outstanding request.
+  if (!acted) {
+    for (auto& [mid, st] : state_) {
+      if (!st.sent || st.final_ts >= 0) continue;
+      const MulticastMessage& m = by_id_.at(mid);
+      if (!system_.group(m.dst).contains(p) || st.proposals.count(p)) continue;
+      auto& me = procs_[static_cast<size_t>(p)];
+      std::int64_t ts = ++me.clock;
+      st.proposals[p] = ts;
+      me.pending[mid] = {ts, false};
+      ++wire_messages_;  // the reply
+      acted = true;
+      break;
+    }
+  }
+  // Delivery from the holdback queue is a protocol step of its own: a member
+  // with nothing else to do must still drain deliverable messages.
+  if (try_deliver(p) > 0) acted = true;
+  return acted && count_step(p);
 }
 
 // ---- PartitionedMulticast --------------------------------------------------------
@@ -288,11 +201,8 @@ PartitionedMulticast::PartitionedMulticast(const groups::GroupSystem& system,
                                            const sim::FailurePattern& pattern,
                                            std::vector<ProcessSet> partitions,
                                            Options options)
-    : system_(system),
-      pattern_(pattern),
+    : BaselineMulticast(system, pattern, options),
       partitions_(std::move(partitions)),
-      options_(options),
-      rng_(options.seed),
       parts_(partitions_.size()),
       procs_(static_cast<size_t>(system.process_count())) {
   // Validate the decomposability assumption.
@@ -335,120 +245,105 @@ bool PartitionedMulticast::partition_alive(int part) const {
   return !pattern_.set_faulty_at(partitions_[static_cast<size_t>(part)], now_);
 }
 
-void PartitionedMulticast::submit(MulticastMessage m) {
-  GAM_EXPECTS(system_.group(m.dst).contains(m.src));
-  workload_.push_back(m);
-  by_id_[m.id] = m;
-}
-
-RunRecord PartitionedMulticast::run() {
-  RoundScheduler sched(system_.process_count());
-  while (record_.steps < options_.max_steps) {
-    bool fired = false;
-    for (ProcessId p : sched.shuffle(rng_)) {
-      if (pattern_.crashed(p, now_)) continue;
-      bool acted = false;
-      // Sender: issue the next eligible message.
-      for (const MulticastMessage& m : workload_) {
-        if (m.src != p || state_.count(m.id)) continue;
-        bool ready = true;
-        for (const MulticastMessage& prev : workload_) {
-          if (prev.id == m.id) break;
-          if (prev.dst != m.dst) continue;
-          if (!state_.count(prev.id)) {
-            if (!pattern_.crashed(prev.src, now_)) ready = false;
-            continue;
-          }
-          if (!procs_[static_cast<size_t>(p)].pending.count(prev.id) &&
-              state_[prev.id].final_ts >= 0) {
-            // prev finalized and no longer pending at p => delivered; fine.
-          } else {
-            ready = false;
-          }
-        }
-        if (!ready) continue;
-        state_[m.id];  // mark issued
-        record_.multicast.push_back(m);
-        record_.multicast_time.push_back(now_);
+bool PartitionedMulticast::step_process(ProcessId p) {
+  if (pattern_.crashed(p, now_)) return false;
+  bool acted = false;
+  // Sender: issue the next eligible message.
+  for (const MulticastMessage& m : workload_) {
+    if (m.src != p || state_.count(m.id)) continue;
+    bool ready = true;
+    for (const MulticastMessage& prev : workload_) {
+      if (prev.id == m.id) break;
+      if (prev.dst != m.dst) continue;
+      if (!state_.count(prev.id)) {
+        if (!pattern_.crashed(prev.src, now_)) ready = false;
+        continue;
+      }
+      if (!procs_[static_cast<size_t>(p)].pending.count(prev.id) &&
+          state_[prev.id].final_ts >= 0) {
+        // prev finalized and no longer pending at p => delivered; fine.
+      } else {
+        ready = false;
+      }
+    }
+    if (!ready) continue;
+    state_[m.id];  // mark issued
+    record_.multicast.push_back(m);
+    record_.multicast_time.push_back(now_);
+    acted = true;
+    break;
+  }
+  // Partition duties: a live member proposes on behalf of its partition
+  // (the decomposability assumption makes the partition one logical
+  // entity; intra-partition consensus is abstracted away, §7).
+  if (!acted) {
+    for (auto& [mid, st] : state_) {
+      if (st.final_ts >= 0) continue;
+      const MulticastMessage& m = by_id_.at(mid);
+      for (int part : partitions_of_group(m.dst)) {
+        if (st.proposals.count(part)) continue;
+        if (!partitions_[static_cast<size_t>(part)].contains(p)) continue;
+        auto& entity = parts_[static_cast<size_t>(part)];
+        std::int64_t ts = ++entity.clock;
+        st.proposals[part] = ts;
+        for (ProcessId q : partitions_[static_cast<size_t>(part)])
+          if (!pattern_.crashed(q, now_))
+            procs_[static_cast<size_t>(q)].pending[mid] = {ts, false};
         acted = true;
         break;
       }
-      // Partition duties: a live member proposes on behalf of its partition
-      // (the decomposability assumption makes the partition one logical
-      // entity; intra-partition consensus is abstracted away, §7).
-      if (!acted) {
-        for (auto& [mid, st] : state_) {
-          if (st.final_ts >= 0) continue;
-          const MulticastMessage& m = by_id_.at(mid);
-          for (int part : partitions_of_group(m.dst)) {
-            if (st.proposals.count(part)) continue;
-            if (!partitions_[static_cast<size_t>(part)].contains(p)) continue;
-            auto& entity = parts_[static_cast<size_t>(part)];
-            std::int64_t ts = ++entity.clock;
-            st.proposals[part] = ts;
-            for (ProcessId q : partitions_[static_cast<size_t>(part)])
-              if (!pattern_.crashed(q, now_))
-                procs_[static_cast<size_t>(q)].pending[mid] = {ts, false};
-            acted = true;
-            break;
+      if (acted) break;
+      // Finalize when every involved partition proposed — a step of a
+      // destination-group member only (genuineness).
+      if (!system_.group(m.dst).contains(p)) continue;
+      auto needed = partitions_of_group(m.dst);
+      if (static_cast<int>(st.proposals.size()) ==
+          static_cast<int>(needed.size())) {
+        std::int64_t ts = 0;
+        for (auto& [part, t] : st.proposals) ts = std::max(ts, t);
+        st.final_ts = ts;
+        for (ProcessId q : system_.group(m.dst))
+          if (!pattern_.crashed(q, now_)) {
+            procs_[static_cast<size_t>(q)].pending[mid] = {ts, true};
+            for (int part : needed)
+              parts_[static_cast<size_t>(part)].clock =
+                  std::max(parts_[static_cast<size_t>(part)].clock, ts);
           }
-          if (acted) break;
-          // Finalize when every involved partition proposed — a step of a
-          // destination-group member only (genuineness).
-          if (!system_.group(m.dst).contains(p)) continue;
-          auto needed = partitions_of_group(m.dst);
-          if (static_cast<int>(st.proposals.size()) ==
-              static_cast<int>(needed.size())) {
-            std::int64_t ts = 0;
-            for (auto& [part, t] : st.proposals) ts = std::max(ts, t);
-            st.final_ts = ts;
-            for (ProcessId q : system_.group(m.dst))
-              if (!pattern_.crashed(q, now_)) {
-                procs_[static_cast<size_t>(q)].pending[mid] = {ts, true};
-                for (int part : needed)
-                  parts_[static_cast<size_t>(part)].clock =
-                      std::max(parts_[static_cast<size_t>(part)].clock, ts);
-              }
-            acted = true;
-            break;
-          }
-        }
-      }
-      // Delivery in (ts, id) order, as in Skeen; draining the holdback queue
-      // is a step in its own right.
-      {
-        auto& st = procs_[static_cast<size_t>(p)];
-        for (;;) {
-          MsgId best = -1;
-          std::pair<std::int64_t, MsgId> best_key{0, 0};
-          for (auto& [mid, e] : st.pending) {
-            if (!e.second) continue;
-            std::pair<std::int64_t, MsgId> key{e.first, mid};
-            if (best == -1 || key < best_key) {
-              best = mid;
-              best_key = key;
-            }
-          }
-          if (best == -1) break;
-          bool minimal = true;
-          for (auto& [mid, e] : st.pending)
-            if (std::make_pair(e.first, mid) < best_key) minimal = false;
-          if (!minimal) break;
-          st.pending.erase(best);
-          record_.deliveries.push_back({p, best, now_, st.seq++});
-          acted = true;
-        }
-      }
-      if (acted) {
-        fired = true;
-        ++now_;
-        ++record_.steps;
-        record_.active.insert(p);
+        acted = true;
+        break;
       }
     }
-    if (!fired) break;
   }
-  record_.quiescent = true;
+  // Delivery in (ts, id) order, as in Skeen; draining the holdback queue
+  // is a step in its own right.
+  {
+    auto& st = procs_[static_cast<size_t>(p)];
+    for (;;) {
+      MsgId best = -1;
+      std::pair<std::int64_t, MsgId> best_key{0, 0};
+      for (auto& [mid, e] : st.pending) {
+        if (!e.second) continue;
+        std::pair<std::int64_t, MsgId> key{e.first, mid};
+        if (best == -1 || key < best_key) {
+          best = mid;
+          best_key = key;
+        }
+      }
+      if (best == -1) break;
+      bool minimal = true;
+      for (auto& [mid, e] : st.pending)
+        if (std::make_pair(e.first, mid) < best_key) minimal = false;
+      if (!minimal) break;
+      st.pending.erase(best);
+      record_.deliveries.push_back({p, best, now_, st.seq++});
+      acted = true;
+    }
+  }
+  return acted && count_step(p);
+}
+
+void PartitionedMulticast::finish_run() {
+  BaselineMulticast::finish_run();
   // Diagnose blockage: issued messages that some live partition can never
   // finalize because a required partition is entirely crashed.
   for (auto& [mid, st] : state_) {
@@ -460,7 +355,6 @@ RunRecord PartitionedMulticast::run() {
         break;
       }
   }
-  return record_;
 }
 
 }  // namespace gam::amcast

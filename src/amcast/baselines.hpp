@@ -29,85 +29,87 @@
 #include <set>
 #include <vector>
 
-#include "amcast/mu_multicast.hpp"
 #include "amcast/options.hpp"
+#include "amcast/sequential.hpp"
 #include "amcast/types.hpp"
 #include "groups/group_system.hpp"
 #include "sim/failure_pattern.hpp"
 #include "sim/metrics.hpp"
-#include "util/rng.hpp"
 
 namespace gam::amcast {
 
-// Shared probe state for the baseline protocols: multicast stamps for the
-// delivery-latency histograms plus per-process step/message attribution for
-// the genuineness ledger. Live only while a registry is attached.
-struct BaselineProbe {
-  sim::Metrics* reg = nullptr;
-  std::map<MsgId, sim::Time> mcast_time;
-  std::vector<std::uint64_t> steps;    // per process
-  std::vector<std::uint64_t> handled;  // per process: protocol messages handled
+// What the baselines share: the submitted workload, the bookkeeping of a
+// fired step, and what a finished run reports — the genuineness ledger (with
+// a registry attached) and the kMulticast/kDeliver events MuMulticast would
+// have emitted (with an event sink attached).
+class BaselineMulticast : public SequentialProtocol {
+ public:
+  void submit(const MulticastMessage& m) override;
+
+  // Caller-owned registry; attach before run(). Collected series: per-group
+  // delivery latency and the genuineness ledger.
+  void set_metrics(sim::Metrics* m) override;
+
+ protected:
+  using SequentialProtocol::SequentialProtocol;
+
+  // Accounts one fired step of p (clock, record, ledger); returns true.
+  bool count_step(ProcessId p);
+  void finish_run() override;
+
+  std::vector<MulticastMessage> workload_;
+  std::map<MsgId, MulticastMessage> by_id_;
+
+  // Probe state, live only while a registry is attached: multicast stamps
+  // for the delivery-latency histograms plus per-process step/message
+  // attribution for the genuineness ledger.
+  struct Probe {
+    sim::Metrics* reg = nullptr;
+    std::map<MsgId, sim::Time> mcast_time;
+    std::vector<std::uint64_t> steps;    // per process
+    std::vector<std::uint64_t> handled;  // per process: protocol messages handled
+  };
+  Probe probe_;
 };
 
 // ---- non-genuine broadcast-based multicast -----------------------------------
 
-class BroadcastMulticast {
+// The broadcast strawman's ledger is the interesting one: every process pays
+// a step (and handles a message) for every broadcast entry, so non-addressee
+// activity is structurally non-zero on disjoint workloads — the
+// anti-genuineness witness the Figure-1 experiments plot against Algorithm 1.
+class BroadcastMulticast final : public BaselineMulticast {
  public:
-  using Options = ProtocolOptions;  // consumes seed / max_steps
+  using Options = ProtocolOptions;  // consumes seed / max_steps / scheduler
 
   BroadcastMulticast(const groups::GroupSystem& system,
                      const sim::FailurePattern& pattern, Options options);
 
-  void submit(MulticastMessage m);
-  RunRecord run();
-
-  // Caller-owned registry; attach before run(). The broadcast strawman's
-  // ledger is the interesting one: every process pays a step (and handles a
-  // message) for every broadcast entry, so non-addressee activity is
-  // structurally non-zero on disjoint workloads — the anti-genuineness
-  // witness the Figure-1 experiments plot against Algorithm 1.
-  void set_metrics(sim::Metrics* m);
+  bool step_process(ProcessId p) override;
 
  private:
-  bool step_process(ProcessId p);
-  BaselineProbe probe_;
-
-  const groups::GroupSystem& system_;
-  const sim::FailurePattern& pattern_;
-  Options options_;
-  Rng rng_;
-  sim::Time now_ = 0;
-
-  std::vector<MulticastMessage> workload_;
-  std::map<MsgId, MulticastMessage> by_id_;
   std::vector<MsgId> global_log_;          // the system-wide broadcast order
   std::set<MsgId> in_log_;                 // members of global_log_, O(log n)
   std::vector<size_t> cursor_;             // per process: next log index
   std::vector<size_t> next_own_;           // per process: next own workload idx
   std::vector<std::int64_t> local_seq_;
-  RunRecord record_;
 };
 
 // ---- Skeen's protocol (failure-free) -----------------------------------------
 
-class SkeenMulticast {
+class SkeenMulticast final : public BaselineMulticast {
  public:
-  using Options = ProtocolOptions;  // consumes seed / max_steps
+  using Options = ProtocolOptions;  // consumes seed / max_steps / scheduler
 
   SkeenMulticast(const groups::GroupSystem& system,
                  const sim::FailurePattern& pattern, Options options);
 
-  void submit(MulticastMessage m);
-  RunRecord run();
+  bool step_process(ProcessId p) override;
 
   // Total messages exchanged (protocol cost; benches report it).
-  std::uint64_t wire_messages() const { return wire_messages_; }
-
-  // Same series as BroadcastMulticast (Skeen is genuine; its ledger is zero).
-  void set_metrics(sim::Metrics* m);
+  std::uint64_t wire_messages() const override { return wire_messages_; }
 
  private:
-  BaselineProbe probe_;
   struct PerMessage {
     std::map<ProcessId, std::int64_t> proposals;
     std::int64_t final_ts = -1;
@@ -124,25 +126,16 @@ class SkeenMulticast {
   bool step_sender(const MulticastMessage& m);
   int try_deliver(ProcessId p);
 
-  const groups::GroupSystem& system_;
-  const sim::FailurePattern& pattern_;
-  Options options_;
-  Rng rng_;
-  sim::Time now_ = 0;
   std::uint64_t wire_messages_ = 0;
-
-  std::vector<MulticastMessage> workload_;
-  std::map<MsgId, MulticastMessage> by_id_;
   std::map<MsgId, PerMessage> state_;
   std::vector<PerProcess> procs_;
-  RunRecord record_;
 };
 
 // ---- partitioned solutions ----------------------------------------------------
 
-class PartitionedMulticast {
+class PartitionedMulticast final : public BaselineMulticast {
  public:
-  using Options = ProtocolOptions;  // consumes seed / max_steps
+  using Options = ProtocolOptions;  // consumes seed / max_steps / scheduler
 
   // `partitions` must be pairwise disjoint and every destination group must
   // be a union of them (the standard decomposability assumption, §7).
@@ -150,8 +143,7 @@ class PartitionedMulticast {
                        const sim::FailurePattern& pattern,
                        std::vector<ProcessSet> partitions, Options options);
 
-  void submit(MulticastMessage m);
-  RunRecord run();
+  bool step_process(ProcessId p) override;
 
   // Messages that blocked because a required partition is entirely crashed.
   const std::vector<MsgId>& blocked() const { return blocked_; }
@@ -174,36 +166,27 @@ class PartitionedMulticast {
     std::int64_t seq = 0;
   };
 
+  void finish_run() override;
   std::vector<int> partitions_of_group(groups::GroupId g) const;
   bool partition_alive(int part) const;
 
-  const groups::GroupSystem& system_;
-  const sim::FailurePattern& pattern_;
   std::vector<ProcessSet> partitions_;
-  Options options_;
-  Rng rng_;
-  sim::Time now_ = 0;
-
-  std::vector<MulticastMessage> workload_;
-  std::map<MsgId, MulticastMessage> by_id_;
   std::map<MsgId, PerMessage> state_;
   std::vector<PerPartition> parts_;
   std::vector<PerProcess> procs_;
   std::vector<MsgId> blocked_;
-  RunRecord record_;
 };
 
 // ---- [36]: genuine multicast from a perfect failure detector -----------------
 
 // The §6.1 strict solution instantiated with exact (lag-0) indicators is the
 // generalization of Schiper & Pedone's perfect-failure-detector algorithm;
-// this preset makes the relationship explicit for the Table 1 harness.
-inline MuMulticast::Options perfect_fd_options(std::uint64_t seed) {
-  MuMulticast::Options opt;
-  opt.seed = seed;
-  opt.strict = true;
-  opt.fd_lag = 0;
-  return opt;
+// this preset makes the relationship explicit (the "perfectfd" registry
+// entry and the Table 1 harness both use it).
+inline ProtocolOptions perfect_fd_options(ProtocolOptions options) {
+  options.strict = true;
+  options.fd_lag = 0;
+  return options;
 }
 
 }  // namespace gam::amcast

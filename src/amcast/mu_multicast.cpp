@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/world.hpp"  // sim::Scheduler (run_with)
+#include "amcast/spec.hpp"  // record_ledger
 
 namespace gam::amcast {
 
@@ -40,11 +40,8 @@ struct MuMulticast::PerProcess {
 
 MuMulticast::MuMulticast(const groups::GroupSystem& system,
                          const sim::FailurePattern& pattern, Options options)
-    : system_(system),
-      pattern_(pattern),
-      options_(options),
-      oracle_(system, pattern, options.fd_lag),
-      rng_(options.seed) {
+    : SequentialProtocol(system, pattern, options),
+      oracle_(system, pattern, options.fd_lag) {
   GAM_EXPECTS(system.process_count() == pattern.process_count());
   GAM_EXPECTS(options_.batch_k >= 1 && options_.window_size >= 1);
   const groups::GroupPairIndex& pairs = system_.pair_index();
@@ -190,21 +187,15 @@ void MuMulticast::flush_metrics() {
         .set(static_cast<std::int64_t>(l.size()));
   }
 
-  ProcessSet addressed;
-  for (const auto& m : record_.multicast) addressed |= system_.group(m.dst);
-  ProcessSet active = record_.active | journal_.active();
-  std::uint64_t steps_outside = 0;
-  for (ProcessId p = 0; p < system_.process_count(); ++p)
-    if (!addressed.contains(p)) steps_outside += probe_.steps[static_cast<size_t>(p)];
-  reg.gauge("non_addressee_steps").set(static_cast<std::int64_t>(steps_outside));
-  reg.gauge("non_addressee_processes").set((active - addressed).size());
   // Algorithm 1 exchanges no wire messages (all coordination is through the
-  // shared objects), so its message ledger is identically zero; the
-  // World-backed protocols fill this from their wire stats.
-  reg.gauge("non_addressee_messages").set(0);
+  // shared objects), so its message ledger is identically zero.
+  record_ledger(
+      reg, record_, system_,
+      [this](ProcessId p) { return probe_.steps[static_cast<size_t>(p)]; },
+      nullptr);
 }
 
-void MuMulticast::submit(MulticastMessage m) {
+void MuMulticast::submit(const MulticastMessage& m) {
   GAM_EXPECTS(m.id >= 0 && !index_of_.count(m.id));
   GAM_EXPECTS(m.dst >= 0 && m.dst < system_.group_count());
   GAM_EXPECTS(system_.group(m.dst).contains(m.src));  // closed dissemination
@@ -813,105 +804,25 @@ bool MuMulticast::action_enabled_somewhere() const {
 
 bool MuMulticast::quiescent() const { return !action_enabled_somewhere(); }
 
-RunRecord MuMulticast::run() {
-  // Time must be able to pass even when every guard is momentarily false:
-  // γ and the indicators change output when crashes land, and crash times are
-  // expressed on the same clock as the steps. Idle rounds therefore advance
-  // the clock until the last failure-detector transition is behind us.
+sim::Time MuMulticast::idle_until() const {
   sim::Time t_stab = 0;
   for (ProcessId p = 0; p < pattern_.process_count(); ++p)
     if (pattern_.faulty(p))
       t_stab = std::max(t_stab,
                         pattern_.crash_time(p) + options_.fd_lag + 1);
-
-  std::vector<ProcessId> order(static_cast<size_t>(system_.process_count()));
-  for (ProcessId p = 0; p < system_.process_count(); ++p)
-    order[static_cast<size_t>(p)] = p;
-
-  while (record_.steps < options_.max_steps) {
-    for (size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1], order[rng_.below(i)]);
-    bool fired = false;
-    for (ProcessId p : order) {
-      if (record_.steps >= options_.max_steps) break;
-      if (step_process(p)) fired = true;
-    }
-    if (!fired) {
-      if (now_ < t_stab) {
-        ++now_;
-        clock_crossed();
-        continue;
-      }
-      record_.quiescent = true;
-      break;
-    }
-  }
-  if (!record_.quiescent && !action_enabled_somewhere())
-    record_.quiescent = true;
-  record_.active |= journal_.active();
-  GAM_METRICS_PROBE(if (probe_.reg) flush_metrics());
-  return record_;
+  return t_stab;
 }
 
-RunRecord MuMulticast::run_with(sim::Scheduler& sched,
-                                std::vector<ProcessId>* schedule_out) {
-  // Same stabilization-time logic as run(): idle rounds advance the clock
-  // until the last failure-detector transition is behind us.
-  sim::Time t_stab = 0;
-  for (ProcessId p = 0; p < pattern_.process_count(); ++p)
-    if (pattern_.faulty(p))
-      t_stab = std::max(t_stab,
-                        pattern_.crash_time(p) + options_.fd_lag + 1);
+void MuMulticast::tick() {
+  ++now_;
+  clock_crossed();
+}
 
-  sched.begin(system_.process_count());
-  std::uint64_t executed = 0;
-  std::vector<ProcessId> order;
-  while (record_.steps < options_.max_steps) {
-    // A replay consumes its recorded idle ticks here, keeping the clock in
-    // lockstep with the recording run.
-    if (sched.take_idle_tick()) {
-      ++now_;
-      clock_crossed();
-      if (schedule_out) schedule_out->push_back(-1);
-      continue;
-    }
-    ProcessSet candidates;
-    for (ProcessId p = 0; p < system_.process_count(); ++p) {
-      if (pattern_.crashed(p, now_)) continue;
-      if (!options_.fair_set.empty() && !options_.fair_set.contains(p))
-        continue;
-      candidates.insert(p);
-    }
-    bool fired = false;
-    order.clear();
-    sched.plan(candidates, order);
-    for (ProcessId p : order) {
-      if (record_.steps >= options_.max_steps) break;
-      if (p < 0 || p >= system_.process_count()) continue;
-      if (step_process(p)) {
-        fired = true;
-        sched.fired(p, executed++);
-        if (schedule_out) schedule_out->push_back(p);
-        if (sched.single_step()) break;
-      }
-    }
-    if (!fired) {
-      if (sched.exhausted()) break;
-      if (now_ < t_stab) {
-        ++now_;
-        clock_crossed();
-        if (schedule_out) schedule_out->push_back(-1);
-        continue;
-      }
-      record_.quiescent = true;
-      break;
-    }
-  }
+void MuMulticast::finish_run() {
   if (!record_.quiescent && !action_enabled_somewhere())
     record_.quiescent = true;
   record_.active |= journal_.active();
   GAM_METRICS_PROBE(if (probe_.reg) flush_metrics());
-  return record_;
 }
 
 RunRecord MuMulticast::snapshot() const {

@@ -41,7 +41,8 @@
 // Options toggle the §6.1 strict variant (the stable action waits on the
 // indicator 1^{g∩h} for *every* intersecting h, instead of on γ) and a
 // restriction of the scheduler to a subset of processes (P-fair runs, used by
-// the §6.2 group-parallelism experiments).
+// the §6.2 group-parallelism experiments). Steps are ordered by the shared
+// sequential loop (sequential.hpp) under options().scheduler.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +54,7 @@
 #include <vector>
 
 #include "amcast/options.hpp"
+#include "amcast/sequential.hpp"
 #include "amcast/trace.hpp"
 #include "amcast/types.hpp"
 #include "fd/detectors.hpp"
@@ -62,24 +64,17 @@
 #include "sim/metrics.hpp"
 #include "sim/spans.hpp"
 #include "sim/trace.hpp"
-#include "util/rng.hpp"
-
-namespace gam::sim {
-class Scheduler;  // sim/world.hpp
-}
 
 namespace gam::amcast {
 
-class MuMulticast {
+class MuMulticast final : public SequentialProtocol {
  public:
   // The engine enum and the options struct are the shared amcast ones
   // (options.hpp): every protocol behind amcast::Protocol reads the same
   // ProtocolOptions, and Algorithm 1 consumes the seed/max_steps/fd_lag/
   // strict/fair_set/sigma_gated/helping/external_clock/track_log_history/
-  // engine/batch_k/window_size fields (batched rounds per DESIGN.md decision
-  // 12; pipelined issuance per the §4.1 relaxation). The scheduler field is
-  // consumed by the registry adapter (protocol.cpp), which maps it onto
-  // run() / run_with().
+  // engine/scheduler/batch_k/window_size fields (batched rounds per DESIGN.md
+  // decision 12; pipelined issuance per the §4.1 relaxation).
   using Engine = amcast::Engine;
   using Options = ProtocolOptions;
 
@@ -93,30 +88,14 @@ class MuMulticast {
   // Queues a message. Messages to the same group are issued group-
   // sequentially in submission order (§4.1): the k-th message to g becomes
   // eligible for multicast once its sender has delivered the first k-1.
-  void submit(MulticastMessage m);
+  void submit(const MulticastMessage& m) override;
 
-  // Runs the action system until quiescence or the step budget. Returns the
-  // run record for the spec checkers.
-  RunRecord run();
-
-  // Same, but scheduling attempts come from an external strategy
-  // (sim/adversary.hpp: PCT, replay, ...). When `schedule_out` is non-null
-  // the executed schedule is appended to it — the pid of every fired step,
-  // with -1 for each idle clock tick — which sim::write_schedule serializes
-  // and a ReplayScheduler re-executes byte-identically (the strategy never
-  // touches this object's rng_, so the fired-action sequence fully determines
-  // the run).
-  RunRecord run_with(sim::Scheduler& sched,
-                     std::vector<ProcessId>* schedule_out = nullptr);
-
-  // Single-step interface for fine-grained tests: executes one enabled action
-  // of process p (if any) at the current time; returns whether one fired.
-  bool step_process(ProcessId p);
+  // One scheduled step of p: up to batch_k enabled actions, drained at the
+  // current time. The shared loop calls it; the emulation harness and
+  // fine-grained tests drive it directly.
+  bool step_process(ProcessId p) override;
   bool quiescent() const;
   RunRecord snapshot() const;
-  // The record accumulated so far, without evaluating quiescence (cheap; used
-  // by the emulation harness that polls deliveries every tick).
-  const RunRecord& partial_record() const { return record_; }
 
   // With track_log_history: replays every log's operation journal against the
   // Table-2 base invariants (Claims 2-8). Empty string = all hold.
@@ -126,12 +105,6 @@ class MuMulticast {
   // attached trace (owned by the caller; must outlive the run).
   void attach_trace(Trace* trace) { trace_ = trace; }
 
-  // Optional low-level event sink, shared with the World-backed engines:
-  // deliver firings are emitted as sim::TraceEvents with the message payload
-  // folded into the event hash — what the sweep's determinism gate consumes.
-  // Caller-owned; must outlive the run.
-  void set_event_sink(sim::TraceSink* sink) { event_sink_ = sink; }
-
   // Optional metrics registry (caller-owned; attach before submitting so the
   // lifecycle stamps cover every message). Collected series: per-group
   // delivery-latency and convoy-wait histograms, phase-transition latencies,
@@ -139,7 +112,7 @@ class MuMulticast {
   // sizes, and the genuineness ledger (all in simulated steps). Probes never
   // read the RNG or feed back into guards, so instrumented runs stay
   // trace-identical to bare ones.
-  void set_metrics(sim::Metrics* m);
+  void set_metrics(sim::Metrics* m) override;
 
   // Optional causal span sink (caller-owned; attach before submitting).
   // Lifecycle milestones — submit, log_enter, paxos_round/locked,
@@ -147,17 +120,23 @@ class MuMulticast {
   // steps. Emission is observation-only (no RNG reads, no guard feedback), so
   // span-instrumented runs stay trace-identical to bare ones; under
   // GAM_METRICS=OFF the probe statements compile out entirely.
-  void set_span_sink(sim::SpanSink* sink) { span_sink_ = sink; }
+  void set_span_sink(sim::SpanSink* sink) override { span_sink_ = sink; }
 
   // Introspection for tests.
   Phase phase_of(ProcessId p, MsgId m) const;
   const objects::Log& log_of(groups::GroupId g, groups::GroupId h) const;
   const fd::MuOracle& oracle() const { return oracle_; }
-  sim::Time now() const { return now_; }
   void advance_time(sim::Time dt);
   void set_time(sim::Time t);
 
  private:
+  // Idle rounds advance the clock until the last failure-detector transition
+  // is behind us: γ and the indicators change output when crashes land, and
+  // crash times are on the same clock as the steps.
+  sim::Time idle_until() const override;
+  void tick() override;
+  void finish_run() override;
+
   struct PerProcess;
   struct ConsKey {
     MsgId m;
@@ -231,13 +210,8 @@ class MuMulticast {
   void clock_crossed();  // after now_ moved forward: cross transition times
   std::uint64_t fd_version() const { return next_transition_; }
 
-  const groups::GroupSystem& system_;
-  const sim::FailurePattern& pattern_;
-  Options options_;
   fd::MuOracle oracle_;
   std::vector<fd::IndicatorOracle> indicators_;  // strict variant, per pair slot
-  Rng rng_;
-  sim::Time now_ = 0;
 
   std::vector<MulticastMessage> workload_;       // dense storage, submission order
   std::unordered_map<MsgId, std::int32_t> index_of_;  // id -> dense index
@@ -263,9 +237,7 @@ class MuMulticast {
   mutable std::vector<ActionChoice> cached_;
 
   Trace* trace_ = nullptr;
-  sim::TraceSink* event_sink_ = nullptr;
   sim::SpanSink* span_sink_ = nullptr;
-  RunRecord record_;
 
   // Metrics probe state, live only while a registry is attached (reg != null).
   // Members exist in every build; GAM_NO_METRICS compiles the probe

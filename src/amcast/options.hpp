@@ -6,8 +6,7 @@
 // its own max_steps default). ProtocolOptions is the union: every protocol
 // aliases `Options` to it and reads the fields it understands, so a single
 // designated-initializer literal configures any protocol behind the
-// amcast::Protocol interface, and options_from(RunSpec) is the one place a
-// scenario description becomes protocol knobs.
+// amcast::Protocol interface.
 //
 // Field order is load-bearing: C++20 designated initializers must name
 // fields in declaration order, and the order below is the superset-merge of
@@ -22,10 +21,6 @@
 #include "sim/adversary.hpp"
 #include "sim/failure_pattern.hpp"
 #include "util/process_set.hpp"
-
-namespace gam::sim {
-class RunSpec;  // sim/run_spec.hpp
-}
 
 namespace gam::amcast {
 
@@ -60,18 +55,14 @@ struct ProtocolOptions {
   bool track_log_history = false;
   // Guard-evaluation engine (Algorithm 1).
   Engine engine = Engine::kIncremental;
-  // Scheduling strategy for World-backed protocols (bench --adversary axis).
-  // Algorithm 1 consumes it through its registry adapter: kRandom runs the
-  // built-in uniform path, anything else instantiates the spec'd strategy.
+  // Scheduling strategy (bench --adversary axis), read by every protocol:
+  // the World-backed ones schedule their World with it, the sequential ones
+  // their steps (sequential.hpp, which also gives kRandom's order there).
   sim::SchedulerSpec scheduler;
   // Ordered-batch / pipelining knobs (mu_multicast.hpp decision 12;
   // universal_log.hpp's instance window). 1/1 is the legacy wire behavior.
   int batch_k = 1;
   int window_size = 1;
 };
-
-// The single RunSpec -> ProtocolOptions population point: seed, step budget,
-// scheduler, and the batch/window knobs all cross here and nowhere else.
-ProtocolOptions options_from(const sim::RunSpec& spec);
 
 }  // namespace gam::amcast

@@ -1,42 +1,23 @@
-// The amcast::Protocol adapters and the registry (DESIGN.md decision 16).
-//
-// Every engine the repo grew — Algorithm 1's action system, the sequential
-// baselines, the World-backed per-group logs, and the timestamp engines —
-// keeps its concrete class and native API; this file is the only place that
-// knows how to wrap each of them behind the uniform interface. Benches,
-// tests and tools construct protocols from descriptors and never mention a
-// concrete engine again.
+// The protocol registry and its factories (DESIGN.md decision 16), plus the
+// event synthesis the sequential baselines run after their loop. Every
+// engine implements amcast::Protocol itself; benches, tests and tools
+// construct protocols from descriptors and never mention a concrete engine.
 #include "amcast/protocol.hpp"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
 #include "amcast/baselines.hpp"
 #include "amcast/mu_multicast.hpp"
 #include "amcast/replicated_multicast.hpp"
 #include "amcast/timestamp_multicast.hpp"
-#include "sim/run_spec.hpp"
 
 namespace gam::amcast {
 
-ProtocolOptions options_from(const sim::RunSpec& spec) {
-  ProtocolOptions opt;
-  opt.seed = spec.run_seed();
-  opt.max_steps = spec.step_budget();
-  opt.scheduler = spec.scheduler_spec();
-  opt.batch_k = spec.batch();
-  opt.window_size = spec.window();
-  return opt;
-}
-
-namespace {
-
-// The sequential baselines produce a RunRecord but no event stream; the
-// adapter synthesizes the same kMulticast/kDeliver events MuMulticast emits
-// (same field conventions, same payload fold) so sinks and monitors attach
-// uniformly. Multicasts go out first (by time, then id), then deliveries (by
-// time, process, local sequence) — chronology per message is preserved since
-// a delivery never precedes its multicast in the record.
+// Multicasts go out first (by time, then id), then deliveries (by time,
+// process, local sequence) — chronology per message is preserved since a
+// delivery never precedes its multicast in the record.
 void emit_synthesized_events(const RunRecord& rec, sim::TraceSink& sink) {
   std::vector<sim::TraceEvent> evs;
   evs.reserve(rec.multicast.size() + rec.deliveries.size());
@@ -82,118 +63,32 @@ void emit_synthesized_events(const RunRecord& rec, sim::TraceSink& sink) {
   for (const sim::TraceEvent& e : evs) sink.on_event(e);
 }
 
-// Algorithm 1. The scheduler spec maps onto the engine's two run entry
-// points: kRandom is the built-in uniform path (byte-identical to a spec'd
-// RandomScheduler by construction, which the golden gate relies on), every
-// other strategy is instantiated from the run seed.
-class MuAdapter final : public Protocol {
- public:
-  MuAdapter(const groups::GroupSystem& s, const sim::FailurePattern& f,
-            const ProtocolOptions& o)
-      : opt_(o), mc_(s, f, o) {}
-
-  void submit(const MulticastMessage& m) override { mc_.submit(m); }
-  RunRecord run() override {
-    if (opt_.scheduler.kind == sim::SchedulerSpec::Kind::kRandom)
-      return mc_.run();
-    auto sched = opt_.scheduler.instantiate(opt_.seed);
-    return mc_.run_with(*sched);
-  }
-  const RunRecord& record() const override { return mc_.partial_record(); }
-  const ProtocolOptions& options() const override { return opt_; }
-  void set_metrics(sim::Metrics* m) override { mc_.set_metrics(m); }
-  void set_event_sink(sim::TraceSink* s) override { mc_.set_event_sink(s); }
-  void set_span_sink(sim::SpanSink* s) override { mc_.set_span_sink(s); }
-
- private:
-  ProtocolOptions opt_;
-  MuMulticast mc_;
-};
-
-template <typename Inner>
-class BaselineAdapter final : public Protocol {
- public:
-  BaselineAdapter(const groups::GroupSystem& s, const sim::FailurePattern& f,
-                  const ProtocolOptions& o)
-      : opt_(o), inner_(s, f, o) {}
-
-  void submit(const MulticastMessage& m) override { inner_.submit(m); }
-  RunRecord run() override {
-    rec_ = inner_.run();
-    if (sink_) emit_synthesized_events(rec_, *sink_);
-    return rec_;
-  }
-  const RunRecord& record() const override { return rec_; }
-  const ProtocolOptions& options() const override { return opt_; }
-  std::uint64_t wire_messages() const override {
-    if constexpr (requires { inner_.wire_messages(); })
-      return inner_.wire_messages();
-    else
-      return 0;
-  }
-  void set_metrics(sim::Metrics* m) override { inner_.set_metrics(m); }
-  void set_event_sink(sim::TraceSink* s) override { sink_ = s; }
-
- private:
-  ProtocolOptions opt_;
-  Inner inner_;
-  RunRecord rec_;
-  sim::TraceSink* sink_ = nullptr;
-};
-
-class WorldLogAdapter final : public Protocol {
- public:
-  WorldLogAdapter(const groups::GroupSystem& s, const sim::FailurePattern& f,
-                  const ProtocolOptions& o)
-      : opt_(o), mc_(s, f, o) {}
-
-  void submit(const MulticastMessage& m) override { mc_.submit(m); }
-  RunRecord run() override {
-    rec_ = mc_.run();
-    return rec_;
-  }
-  const RunRecord& record() const override { return rec_; }
-  const ProtocolOptions& options() const override { return opt_; }
-  std::uint64_t wire_messages() const override { return mc_.messages_sent(); }
-  void set_metrics(sim::Metrics* m) override { mc_.set_metrics(m); }
-  void set_event_sink(sim::TraceSink* s) override {
-    mc_.world().set_trace_sink(s);
-  }
-  sim::World* world() override { return &mc_.world(); }
-
- private:
-  ProtocolOptions opt_;
-  ReplicatedMulticast mc_;
-  RunRecord rec_;
-};
+namespace {
 
 std::unique_ptr<Protocol> make_mu(const groups::GroupSystem& s,
                                   const sim::FailurePattern& f,
                                   const ProtocolOptions& o) {
-  return std::make_unique<MuAdapter>(s, f, o);
+  return std::make_unique<MuMulticast>(s, f, o);
 }
 std::unique_ptr<Protocol> make_perfectfd(const groups::GroupSystem& s,
                                          const sim::FailurePattern& f,
                                          const ProtocolOptions& o) {
-  ProtocolOptions strict = o;
-  strict.strict = true;  // §6.1 strict variant with exact indicators = [36]
-  strict.fd_lag = 0;
-  return std::make_unique<MuAdapter>(s, f, strict);
+  return std::make_unique<MuMulticast>(s, f, perfect_fd_options(o));
 }
 std::unique_ptr<Protocol> make_skeen(const groups::GroupSystem& s,
                                      const sim::FailurePattern& f,
                                      const ProtocolOptions& o) {
-  return std::make_unique<BaselineAdapter<SkeenMulticast>>(s, f, o);
+  return std::make_unique<SkeenMulticast>(s, f, o);
 }
 std::unique_ptr<Protocol> make_broadcast(const groups::GroupSystem& s,
                                          const sim::FailurePattern& f,
                                          const ProtocolOptions& o) {
-  return std::make_unique<BaselineAdapter<BroadcastMulticast>>(s, f, o);
+  return std::make_unique<BroadcastMulticast>(s, f, o);
 }
 std::unique_ptr<Protocol> make_worldlog(const groups::GroupSystem& s,
                                         const sim::FailurePattern& f,
                                         const ProtocolOptions& o) {
-  return std::make_unique<WorldLogAdapter>(s, f, o);
+  return std::make_unique<ReplicatedMulticast>(s, f, o);
 }
 std::unique_ptr<Protocol> make_whitebox(const groups::GroupSystem& s,
                                         const sim::FailurePattern& f,

@@ -8,7 +8,8 @@
 // harness needs — submit the workload, attach sinks/metrics, run, read the
 // record — and ProtocolRegistry makes "add the Nth protocol" a one-file
 // change: register a descriptor and every bench axis, monitor wiring, and
-// test sweep picks it up by name.
+// test sweep picks it up by name. Every engine implements Protocol itself;
+// the sequential ones share one scheduler loop (sequential.hpp).
 //
 // The registry descriptor also carries the *semantics* a harness needs to
 // drive a protocol correctly: where its deliver events sit in the trace id
@@ -70,6 +71,12 @@ class Protocol {
   // (harnesses absorb wire/alloc stats from it); nullptr otherwise.
   virtual sim::World* world() { return nullptr; }
 };
+
+// For engines that produce a RunRecord but no event stream (the sequential
+// baselines): feeds `sink` the kMulticast/kDeliver events MuMulticast emits
+// for the same record (same field conventions, same payload fold), so sinks
+// and monitors attach uniformly.
+void emit_synthesized_events(const RunRecord& rec, sim::TraceSink& sink);
 
 struct ProtocolDescriptor {
   const char* name;

@@ -1,5 +1,7 @@
 #include "amcast/replicated_multicast.hpp"
 
+#include "amcast/spec.hpp"  // record_ledger
+
 namespace gam::amcast {
 
 ReplicatedMulticast::ReplicatedMulticast(const groups::GroupSystem& system,
@@ -52,7 +54,7 @@ ReplicatedMulticast::ReplicatedMulticast(const groups::GroupSystem& system,
   }
 }
 
-void ReplicatedMulticast::submit(MulticastMessage m) {
+void ReplicatedMulticast::submit(const MulticastMessage& m) {
   GAM_EXPECTS(system_.group(m.dst).contains(m.src));
   workload_.push_back(m);
 }
@@ -81,29 +83,16 @@ RunRecord ReplicatedMulticast::run() {
     record_.steps += world_->stats(p).steps;
     if (world_->stats(p).steps > 0) record_.active.insert(p);
   }
-  // Genuineness ledger from the world's wire stats: steps taken and messages
-  // sent by processes no issued message was addressed to (must be zero —
-  // each group's log is scoped to exactly its members).
-  GAM_METRICS_PROBE(if (metrics_) {
-    ProcessSet addressed;
-    for (const auto& m : record_.multicast) addressed |= system_.group(m.dst);
-    std::uint64_t steps_outside = 0, msgs_outside = 0;
-    for (ProcessId p = 0; p < system_.process_count(); ++p) {
-      if (addressed.contains(p)) continue;
-      steps_outside += world_->stats(p).steps;
-      msgs_outside += world_->stats(p).messages_sent;
-    }
-    metrics_->gauge("non_addressee_steps")
-        .set(static_cast<std::int64_t>(steps_outside));
-    metrics_->gauge("non_addressee_processes")
-        .set((record_.active - addressed).size());
-    metrics_->gauge("non_addressee_messages")
-        .set(static_cast<std::int64_t>(msgs_outside));
-  });
+  // Genuineness ledger from the world's wire stats (must be zero — each
+  // group's log is scoped to exactly its members).
+  GAM_METRICS_PROBE(if (metrics_) record_ledger(
+      *metrics_, record_, system_,
+      [this](ProcessId p) { return world_->stats(p).steps; },
+      [this](ProcessId p) { return world_->stats(p).messages_sent; }));
   return record_;
 }
 
-std::uint64_t ReplicatedMulticast::messages_sent() const {
+std::uint64_t ReplicatedMulticast::wire_messages() const {
   std::uint64_t n = 0;
   for (ProcessId p = 0; p < system_.process_count(); ++p)
     n += world_->stats(p).messages_sent;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "amcast/options.hpp"
+#include "amcast/protocol.hpp"
 #include "amcast/types.hpp"
 #include "fd/detectors.hpp"
 #include "groups/group_system.hpp"
@@ -31,7 +32,7 @@
 
 namespace gam::amcast {
 
-class ReplicatedMulticast {
+class ReplicatedMulticast final : public Protocol {
  public:
   // Shared options (amcast/options.hpp): consumes seed / max_steps /
   // scheduler, plus batch_k / window_size forwarded to each group's
@@ -47,18 +48,24 @@ class ReplicatedMulticast {
   ReplicatedMulticast(const groups::GroupSystem& system,
                       const sim::FailurePattern& pattern, Options options);
 
-  void submit(MulticastMessage m);
-  RunRecord run();
+  void submit(const MulticastMessage& m) override;
+  RunRecord run() override;
+  const RunRecord& record() const override { return record_; }
+  const ProtocolOptions& options() const override { return options_; }
 
   // Wire cost of the run (benches / tests).
-  std::uint64_t messages_sent() const;
+  std::uint64_t wire_messages() const override;
 
-  sim::World& world() { return scenario_->world(); }
+  sim::World* world() override { return world_; }
 
   // Caller-owned registry: wires the World's buffer/FD probes plus per-group
   // delivery-latency histograms and the genuineness ledger computed from the
   // world's per-process wire stats. Attach before run().
-  void set_metrics(sim::Metrics* m);
+  void set_metrics(sim::Metrics* m) override;
+  // The World's event stream: every wire event plus the deliveries.
+  void set_event_sink(sim::TraceSink* sink) override {
+    world_->set_trace_sink(sink);
+  }
 
  private:
   const groups::GroupSystem& system_;

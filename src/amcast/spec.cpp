@@ -5,6 +5,8 @@
 #include <optional>
 #include <set>
 
+#include "sim/metrics.hpp"
+
 namespace gam::amcast {
 
 namespace {
@@ -161,6 +163,23 @@ SpecResult check_minimality(const RunRecord& run,
     r.fail("processes " + offenders.to_string() +
            " took steps although no message was addressed to them");
   return r;
+}
+
+void record_ledger(sim::Metrics& reg, const RunRecord& run,
+                   const groups::GroupSystem& system,
+                   const ProcessCount& steps, const ProcessCount& messages) {
+  ProcessSet addressed;
+  for (const auto& m : run.multicast) addressed |= system.group(m.dst);
+  std::uint64_t steps_outside = 0, msgs_outside = 0;
+  for (ProcessId p = 0; p < system.process_count(); ++p) {
+    if (addressed.contains(p)) continue;
+    steps_outside += steps(p);
+    if (messages) msgs_outside += messages(p);
+  }
+  reg.gauge("non_addressee_steps").set(static_cast<std::int64_t>(steps_outside));
+  reg.gauge("non_addressee_processes").set((run.active - addressed).size());
+  reg.gauge("non_addressee_messages")
+      .set(static_cast<std::int64_t>(msgs_outside));
 }
 
 SpecResult check_strict_ordering(const RunRecord& run,

@@ -3,12 +3,18 @@
 // Ordering and Pairwise Ordering, evaluated on a finished RunRecord.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "amcast/types.hpp"
 #include "groups/group_system.hpp"
 #include "sim/failure_pattern.hpp"
+
+namespace gam::sim {
+class Metrics;  // sim/metrics.hpp
+}
 
 namespace gam::amcast {
 
@@ -43,6 +49,16 @@ SpecResult check_ordering(const RunRecord& run,
 // message take protocol steps.
 SpecResult check_minimality(const RunRecord& run,
                             const groups::GroupSystem& system);
+
+// The same property measured, as the genuineness ledger: the steps,
+// processes and messages attributable to processes outside ∪ dst(m) of the
+// issued messages, written to the non_addressee_{steps,processes,messages}
+// gauges of `reg`. steps(p) and messages(p) are process p's counts; an empty
+// `messages` reads as zero (protocols without a network).
+using ProcessCount = std::function<std::uint64_t(ProcessId)>;
+void record_ledger(sim::Metrics& reg, const RunRecord& run,
+                   const groups::GroupSystem& system,
+                   const ProcessCount& steps, const ProcessCount& messages);
 
 // (Strict Ordering, §6.1) the transitive closure of ↦ ∪ ⤳ is a strict partial
 // order, where m ⤳ m' when m is delivered in real time before m' is multicast.

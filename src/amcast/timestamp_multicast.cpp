@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "amcast/baselines.hpp"  // PartitionedMulticast::finest_partitions
+#include "amcast/spec.hpp"  // record_ledger
 
 namespace gam::amcast {
 
@@ -257,25 +258,12 @@ RunRecord TimestampMulticast::run() {
     record_.steps += world_->stats(p).steps;
     if (world_->stats(p).steps > 0) record_.active.insert(p);
   }
-  // Genuineness ledger, exactly as in ReplicatedMulticast: steps/messages by
-  // processes no issued message was addressed to must be zero — every log and
-  // every announcement is scoped inside some destination group.
-  GAM_METRICS_PROBE(if (metrics_) {
-    ProcessSet addressed;
-    for (const auto& m : record_.multicast) addressed |= system_.group(m.dst);
-    std::uint64_t steps_outside = 0, msgs_outside = 0;
-    for (ProcessId p = 0; p < system_.process_count(); ++p) {
-      if (addressed.contains(p)) continue;
-      steps_outside += world_->stats(p).steps;
-      msgs_outside += world_->stats(p).messages_sent;
-    }
-    metrics_->gauge("non_addressee_steps")
-        .set(static_cast<std::int64_t>(steps_outside));
-    metrics_->gauge("non_addressee_processes")
-        .set((record_.active - addressed).size());
-    metrics_->gauge("non_addressee_messages")
-        .set(static_cast<std::int64_t>(msgs_outside));
-  });
+  // Genuineness ledger from the world's wire stats (must be zero — every log
+  // and every announcement is scoped inside some destination group).
+  GAM_METRICS_PROBE(if (metrics_) record_ledger(
+      *metrics_, record_, system_,
+      [this](ProcessId p) { return world_->stats(p).steps; },
+      [this](ProcessId p) { return world_->stats(p).messages_sent; }));
   return record_;
 }
 

@@ -54,7 +54,7 @@ class Instance {
 
   // Deliveries so far (times are global-clock times).
   const std::vector<amcast::Delivery>& deliveries() const {
-    return mc_->partial_record().deliveries;
+    return mc_->record().deliveries;
   }
 
   // The time of the first delivery of any message, if one happened.

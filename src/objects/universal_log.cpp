@@ -33,7 +33,15 @@ void UniversalLog::learn(std::int64_t inst, std::vector<std::int64_t> values) {
     instances_.pop_front();
     ++applied_insts_;
     for (std::int64_t op : batch) {
-      if (!ordered_ops_.insert(op)) continue;  // decided twice: dedup
+      if (!ordered_ops_.insert(op)) {
+        // Decided twice (a competing leader's window instance, or an op
+        // submitted twice to the leader): it keeps its first position, and a
+        // pending twin is dropped, or the leader would drive it forever.
+        auto twin = std::find_if(pending_.begin(), pending_.end(),
+                                 [op](const Pending& p) { return p.op == op; });
+        if (twin != pending_.end()) pending_.erase(twin);
+        continue;
+      }
       std::int64_t pos = learned_count_++;
       GAM_METRICS_PROBE(if (span_sink_) span_sink_->on_span(
           {0, self_, sim::SpanKind::kDelivered, op, pos, 0}));
@@ -99,6 +107,11 @@ bool UniversalLog::on_idle(sim::Context& ctx) {
     // the log progresses even when the stable leader has nothing to submit.
     if (++forward_stall_ > kStallLimit) {
       forward_stall_ = 0;
+      // A twin of a learned op (submitted twice here) is never decided again:
+      // the leader drops forwards of ordered ops. Drop it instead.
+      while (!pending_.empty() && ordered_ops_.contains(pending_.front().op))
+        pending_.pop_front();
+      if (pending_.empty()) return false;
       ctx.send(*leader, protocol_id_, kForward, {pending_.front().op});
       return true;
     }

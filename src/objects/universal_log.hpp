@@ -42,7 +42,10 @@ class UniversalLog : public SubProtocol {
   }
 
   // Submit an operation; it will appear exactly once in the decided log.
-  // `applied` fires when the operation's position is learned locally.
+  // `applied` fires when the operation's position is learned locally. An op
+  // submitted twice is still learned once: its twin is dropped once the op
+  // is learned (a leader's when it is decided again, anyone else's when it
+  // comes up for forwarding), and the twin's callback never fires.
   void submit(std::int64_t op, std::function<void(std::int64_t pos)> applied);
 
   // Observer invoked at *this replica* for every op as it enters the learned

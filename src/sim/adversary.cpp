@@ -38,9 +38,15 @@ void PctScheduler::begin(int process_count) {
 }
 
 void PctScheduler::plan(ProcessSet candidates, std::vector<ProcessId>& out) {
+  for (ProcessId p : candidates) out.push_back(p);
+  if (fired_steps_ >= step_bound_) {
+    // Past the horizon: ascending ids, rotated to start at next_.
+    std::rotate(out.begin(), std::lower_bound(out.begin(), out.end(), next_),
+                out.end());
+    return;
+  }
   // Highest priority first; the driver runs the first attempt that fires and
   // (single_step) returns for a fresh plan.
-  for (ProcessId p : candidates) out.push_back(p);
   std::sort(out.begin(), out.end(), [this](ProcessId a, ProcessId b) {
     return priority_[static_cast<std::size_t>(a)] >
            priority_[static_cast<std::size_t>(b)];
@@ -55,6 +61,8 @@ void PctScheduler::fired(ProcessId p, std::uint64_t step_index) {
     priority_[static_cast<std::size_t>(p)] = next_low_--;
     change_points_.erase(change_points_.begin());
   }
+  fired_steps_ = step_index + 1;
+  next_ = p + 1;
 }
 
 // ---------------------------------------------------------------------------

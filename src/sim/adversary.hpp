@@ -52,9 +52,12 @@ inline constexpr bool kPlantedBug = false;
 
 // ---------------------------------------------------------------------------
 // PCT. `step_bound` is the a-priori bound k on run length used to draw the
-// d-1 priority change points; runs longer than k simply see no further
-// demotions. single_step() is true: the scheduler re-plans after every fired
-// step so the highest-priority enabled process always runs next.
+// d-1 priority change points; PCT's guarantee covers the first k steps.
+// Past them the scheduler plans fairly instead: round-robin from the process
+// after the last one that fired, so every candidate runs within n plans and
+// a high-priority process that always wants a step cannot starve the rest.
+// single_step() is true: the scheduler re-plans after every fired step so
+// the highest-priority enabled process always runs next.
 class PctScheduler final : public Scheduler {
  public:
   PctScheduler(int depth, std::uint64_t step_bound, std::uint64_t seed);
@@ -79,6 +82,8 @@ class PctScheduler final : public Scheduler {
   std::vector<std::int64_t> priority_;      // per process; higher runs first
   std::vector<std::uint64_t> change_points_;  // sorted step indices
   std::int64_t next_low_ = -1;              // next demotion value
+  std::uint64_t fired_steps_ = 0;           // steps fired so far
+  ProcessId next_ = 0;  // past the horizon: where the round-robin resumes
 };
 
 // ---------------------------------------------------------------------------

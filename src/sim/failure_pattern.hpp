@@ -85,9 +85,11 @@ class FailurePattern {
     return !set.empty();
   }
 
-  // True when every member of `set` eventually crashes.
+  // True when every member of `set` eventually crashes. O(|set|).
   bool set_faulty(ProcessSet set) const {
-    return !set.empty() && set.subset_of(faulty_set());
+    for (ProcessId p : set)
+      if (!valid(p) || !faulty(p)) return false;
+    return !set.empty();
   }
 
   // The earliest time at which the whole of `set` has crashed, or kNever.

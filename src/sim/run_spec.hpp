@@ -106,19 +106,6 @@ class RunSpec {
     return *this;
   }
 
-  // Ordered-batch / pipelining knobs, consumed by the protocol layers built
-  // on top of the scenario (MuMulticast macro-steps + batched log appends;
-  // UniversalLog's bounded instance window). The 1/1 default is today's
-  // one-action-per-step, one-op-per-instance behavior, byte for byte.
-  RunSpec& batch_k(int k) {
-    batch_k_ = k < 1 ? 1 : k;
-    return *this;
-  }
-  RunSpec& window_size(int w) {
-    window_size_ = w < 1 ? 1 : w;
-    return *this;
-  }
-
   // The pattern the scenario runs under: explicit failures, else a crash-free
   // universe over the declared process count.
   FailurePattern resolve_pattern() const {
@@ -134,8 +121,6 @@ class RunSpec {
   TraceSink* trace_sink() const { return trace_sink_; }
   Metrics* metrics_registry() const { return metrics_; }
   CrashInjector* injector() const { return injector_; }
-  int batch() const { return batch_k_; }
-  int window() const { return window_size_; }
   const std::function<std::unique_ptr<Scheduler>(std::uint64_t)>&
   scheduler_factory_fn() const {
     return factory_;
@@ -152,8 +137,6 @@ class RunSpec {
   CrashInjector* injector_ = nullptr;
   TraceSink* trace_sink_ = nullptr;
   Metrics* metrics_ = nullptr;
-  int batch_k_ = 1;
-  int window_size_ = 1;
 };
 
 // Materializes a RunSpec: owns the World plus the instantiated scheduler and

@@ -92,8 +92,8 @@ class Scheduler {
   // the end of its script). The world then decides quiescence immediately.
   virtual bool exhausted() const { return false; }
 
-  // Drivers with an idle-tick notion (MuMulticast::run_with advancing the
-  // clock toward FD stabilization) poll this each round; a replay consumes
+  // Drivers with an idle-tick notion (SequentialProtocol::run_with advancing
+  // the clock toward FD stabilization) poll this each round; a replay consumes
   // a recorded idle tick here. The World itself never idles, so it ignores
   // this hook.
   virtual bool take_idle_tick() { return false; }
@@ -120,6 +120,31 @@ class RandomScheduler final : public Scheduler {
 
  private:
   Rng rng_;
+};
+
+// The sequential engines' default order (amcast/sequential.hpp): one
+// permutation of all n processes, reshuffled in place (Fisher-Yates) every
+// round, of which the round attempts the candidates. Unlike RandomScheduler,
+// what it draws does not depend on the candidate set.
+class ReshuffleScheduler final : public Scheduler {
+ public:
+  explicit ReshuffleScheduler(std::uint64_t seed) : rng_(seed) {}
+
+  void begin(int process_count) override {
+    if (!order_.empty()) return;
+    for (ProcessId p = 0; p < process_count; ++p) order_.push_back(p);
+  }
+
+  void plan(ProcessSet candidates, std::vector<ProcessId>& out) override {
+    for (std::size_t i = order_.size(); i > 1; --i)
+      std::swap(order_[i - 1], order_[rng_.below(i)]);
+    for (ProcessId p : order_)
+      if (candidates.contains(p)) out.push_back(p);
+  }
+
+ private:
+  Rng rng_;
+  std::vector<ProcessId> order_;
 };
 
 // Mid-run crash injection: ticked once per scheduling round, before the

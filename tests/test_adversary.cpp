@@ -221,6 +221,30 @@ TEST(Pct, DemotionChangesScheduleOrder) {
   EXPECT_GT(differs, 0);
 }
 
+TEST(Pct, PlansRoundRobinPastItsHorizon) {
+  // Depth 1 has no change point, so within the horizon the same process
+  // heads every plan. Past it the plans rotate: each candidate comes first
+  // in turn, so a process that can always fire cannot starve the others.
+  constexpr std::uint64_t kBound = 6;
+  sim::PctScheduler pct(/*depth=*/1, kBound, /*seed=*/7);
+  pct.begin(4);
+  const ProcessSet all = ProcessSet::universe(4);
+  std::vector<ProcessId> order;
+  std::vector<ProcessId> heads;
+  for (std::uint64_t step = 0; step < kBound + 8; ++step) {
+    order.clear();
+    pct.plan(all, order);
+    ASSERT_EQ(order.size(), 4u);
+    heads.push_back(order[0]);
+    pct.fired(order[0], step);
+  }
+  for (std::uint64_t step = 1; step < kBound; ++step)
+    EXPECT_EQ(heads[step], heads[0]) << "step " << step;
+  // Round-robin from the process after the last one that fired.
+  for (std::uint64_t step = kBound; step < heads.size(); ++step)
+    EXPECT_EQ(heads[step], (heads[step - 1] + 1) % 4) << "step " << step;
+}
+
 // ---------------------------------------------------------------------------
 // Quorum-edge derivation.
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "amcast/mu_multicast.hpp"
 #include "amcast/spec.hpp"
 #include "amcast/workload.hpp"
 #include "groups/group_system.hpp"
@@ -205,7 +206,7 @@ TEST(PerfectFdMulticast, DeliversDespiteIntersectionCrash) {
   auto sys = figure1_system();
   FailurePattern pat(5);
   pat.crash_at(1, 30);
-  MuMulticast mc(sys, pat, perfect_fd_options(19));
+  MuMulticast mc(sys, pat, perfect_fd_options({.seed = 19}));
   for (auto& m : round_robin_workload(sys, 2)) mc.submit(m);
   auto rec = mc.run();
   auto r = check_all(rec, sys, pat);

@@ -307,10 +307,10 @@ RunRecord run_replicated(const groups::GroupSystem& sys,
                          std::uint64_t* trace_hash) {
   ReplicatedMulticast rm(sys, pat, opt);
   sim::HashingSink hasher;
-  rm.world().set_trace_sink(&hasher);
+  rm.set_event_sink(&hasher);
   for (const auto& m : msgs) rm.submit(m);
   RunRecord r = rm.run();
-  if (wire_messages) *wire_messages = rm.messages_sent();
+  if (wire_messages) *wire_messages = rm.wire_messages();
   if (trace_hash) *trace_hash = hasher.hash();
   return r;
 }

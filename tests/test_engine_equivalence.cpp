@@ -253,7 +253,7 @@ TEST(EngineEquivalence, ExternalClockTickDriven) {
         for (ProcessId p = 0; p < sys.process_count(); ++p)
           mc.step_process(p);
       }
-      out.record = mc.partial_record();
+      out.record = mc.record();
     }
     expect_equivalent(("tick_s" + std::to_string(seed)).c_str(), runs[0],
                       runs[1]);

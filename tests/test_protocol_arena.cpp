@@ -13,7 +13,8 @@
 //   - conflict_workload determinism: the same seed yields the same
 //     commuting-set partition, rate<=0 yields pairwise-distinct classes,
 //     rate 1 a single class;
-//   - per-protocol run determinism: same seed, same trace hash.
+//   - per-protocol run determinism: same seed, same trace hash;
+//   - the adversary axis: every protocol runs under a PCT scheduler.
 #include <map>
 #include <set>
 #include <string>
@@ -28,6 +29,7 @@
 #include "amcast/workload.hpp"
 #include "groups/generator.hpp"
 #include "groups/group_system.hpp"
+#include "sim/adversary.hpp"
 #include "sim/monitors.hpp"
 #include "sim/trace.hpp"
 
@@ -165,6 +167,47 @@ TEST(ProtocolArena, MonitorsStayCleanUnderSampledCrashEnvironments) {
           << d.name << " seed " << s << ": "
           << sim::format_violation(mons.violations().front());
     }
+  }
+}
+
+// ---- the adversary axis -------------------------------------------------------
+
+// Every registered protocol takes its schedule from ProtocolOptions::scheduler:
+// under PCT each one orders its steps differently from the default, and
+// still quiesces with every delivery and clean monitors.
+TEST(ProtocolArena, PctReordersEveryProtocol) {
+  auto sys = groups::disjoint_system(4, 3);
+  sim::FailurePattern pat(sys.process_count());
+  for (const auto& d : ProtocolRegistry::instance().all()) {
+    auto wl = classed_workload(sys, d.conflict_aware ? 0.5 : 1.0, 2, 1);
+    auto run = [&](const sim::SchedulerSpec& sched, sim::RecorderSink& rec) {
+      ProtocolOptions opt;
+      opt.seed = 1;
+      opt.scheduler = sched;
+      auto p = d.make(sys, pat, opt);
+      p->set_event_sink(&rec);
+      for (const auto& m : wl) p->submit(m);
+      return p->run();
+    };
+    sim::RecorderSink random, pct;
+    RunRecord by_random = run(sim::random_scheduler(), random);
+    RunRecord by_pct = run(sim::pct(3), pct);
+    ASSERT_TRUE(by_pct.quiescent) << d.name;
+    EXPECT_EQ(by_pct.deliveries.size(), by_random.deliveries.size()) << d.name;
+    EXPECT_NE(pct.hash(), random.hash()) << d.name;
+
+    sim::MonitorConfig mc;
+    for (groups::GroupId g = 0; g < sys.group_count(); ++g)
+      mc.groups.push_back(sys.group(g));
+    mc.protocol_base = d.trace_base;
+    mc.require_multicast = d.emits_multicast_events;
+    if (d.conflict_aware)
+      for (const auto& m : wl) mc.conflict_class[m.id] = m.conflict_class;
+    sim::InvariantMonitors mons(mc);
+    sim::feed(mons, pct.events());
+    mons.finalize(by_pct.quiescent);
+    EXPECT_TRUE(mons.ok()) << d.name << ": "
+                           << sim::format_violation(mons.violations().front());
   }
 }
 

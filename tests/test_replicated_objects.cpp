@@ -367,6 +367,40 @@ TEST(UniversalLog, ProgressAfterLeaderCrash) {
   EXPECT_EQ(learned[1].ops.size(), 2u);
 }
 
+TEST(UniversalLog, DuplicateSubmitLearnsOnceAndQuiesces) {
+  // Op 7 submitted twice at one replica must be learned once, and its
+  // pending twin must go, or the replica keeps wanting steps forever: the
+  // leader (p0) would re-propose it, anyone else re-forward it.
+  for (ProcessId submitter : {0, 1}) {
+    FailurePattern pat(3);
+    Fixture fx(pat, 5);
+    ProcessSet scope = ProcessSet::universe(3);
+    fd::SigmaOracle sigma(fx.pattern, scope);
+    fd::OmegaOracle omega(fx.pattern, scope);
+    std::vector<std::shared_ptr<UniversalLog>> logs;
+    std::vector<LearnedLog> learned(3);
+    for (ProcessId p = 0; p < 3; ++p) {
+      auto l = std::make_shared<UniversalLog>(sim::protocol_id(3), p, scope,
+                                              sigma, omega);
+      fx.hosts[static_cast<size_t>(p)]->add(sim::protocol_id(3), l);
+      learned[static_cast<size_t>(p)].attach(*l);
+      logs.push_back(l);
+    }
+    int applied = 0;
+    for (int i = 0; i < 2; ++i)
+      logs[static_cast<size_t>(submitter)]->submit(
+          7, [&](std::int64_t) { ++applied; });
+    ASSERT_TRUE(fx.world.run_until_quiescent(200'000)) << "p" << submitter;
+    for (ProcessId p = 0; p < 3; ++p) {
+      EXPECT_EQ(learned[static_cast<size_t>(p)].ops,
+                std::vector<std::int64_t>{7})
+          << "p" << p;
+      EXPECT_FALSE(logs[static_cast<size_t>(p)]->wants_step()) << "p" << p;
+    }
+    EXPECT_EQ(applied, 1) << "p" << submitter;
+  }
+}
+
 TEST(UniversalLog, OutOfOrderDecisionsLearnInInstanceOrder) {
   // Regression for the kForward dedup rewrite: decisions arriving out of
   // instance order must still produce the contiguous learned prefix, and a

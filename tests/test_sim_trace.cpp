@@ -376,7 +376,7 @@ TEST(WorldTrace, ReplicatedRunEmitsFdQueriesAndDeliveries) {
   sim::FailurePattern pat(sys.process_count());
   amcast::ReplicatedMulticast rm(sys, pat, {.seed = 3});
   RecorderSink rec;
-  rm.world().set_trace_sink(&rec);
+  rm.set_event_sink(&rec);
   for (auto& m : amcast::round_robin_workload(sys, 2)) rm.submit(m);
   auto record = rm.run();
   ASSERT_TRUE(record.quiescent);
@@ -390,7 +390,7 @@ TEST(WorldTrace, ReplicatedRunEmitsFdQueriesAndDeliveries) {
             record.deliveries.size());
   // Per-process wire accounting matches the send events in the stream.
   std::uint64_t send_events = count_kind(evs, TraceEventKind::kSend);
-  EXPECT_EQ(send_events, rm.messages_sent());
+  EXPECT_EQ(send_events, rm.wire_messages());
 }
 
 }  // namespace

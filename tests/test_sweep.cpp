@@ -198,7 +198,7 @@ bench::RunResult run_world(int i) {
                                  {.seed = static_cast<std::uint64_t>(i) + 1});
   for (auto& m : amcast::round_robin_workload(sys, 2)) rm.submit(m);
   auto r = bench::summarize(rm.run());
-  bench::absorb_world(r, rm.world());
+  bench::absorb_world(r, *rm.world());
   return r;
 }
 

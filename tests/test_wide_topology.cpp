@@ -235,7 +235,7 @@ TEST(WideTopology, ReplicatedMulticastScenarioRunsClean) {
     auto sys = groups::disjoint_system(128, 2);
     sim::FailurePattern pat(sys.process_count());
     amcast::ReplicatedMulticast rm(sys, pat, {.seed = 11});
-    rm.world().set_trace_sink(sink);
+    rm.set_event_sink(sink);
     for (auto& m : amcast::round_robin_workload(sys, 1)) rm.submit(m);
     return rm.run();
   };
